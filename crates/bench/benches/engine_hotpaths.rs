@@ -7,7 +7,7 @@
 //! Invoke with `cargo bench -p batmem-bench`.
 
 use batmem::{policies, Simulation};
-use batmem_graph::gen;
+use batmem_graph::{alg, gen};
 use batmem_sim::EventQueue;
 use batmem_types::policy::PcieCompression;
 use batmem_types::{FrameId, PageId, SimConfig, SmId};
@@ -234,6 +234,11 @@ fn bench_uvm_batch_registry() {
 
 fn bench_graph_gen() {
     bench("graph/rmat_scale12", 20, || gen::rmat(12, 8, 42));
+    // The input setup the KCORE and GC workloads run before simulating.
+    let directed = gen::rmat(12, 8, 42);
+    bench("graph/symmetrize_scale12", 20, || directed.symmetrized());
+    let symmetric = directed.symmetrized();
+    bench("graph/kcore_peel_scale12", 20, || alg::kcore(&symmetric));
 }
 
 fn bench_end_to_end() {

@@ -7,7 +7,7 @@
 //! ```
 
 use batmem_bench::runner::{
-    run_custom_injected, suite_results, ConfigName, CustomPolicy, SuiteConfig,
+    check_rmat_scale, run_custom_injected, suite_results, ConfigName, CustomPolicy, SuiteConfig,
 };
 use batmem_bench::sweep::{self, ArtifactStore, CellPolicy, PoolConfig, SweepPlan};
 use batmem_bench::figures;
@@ -41,7 +41,7 @@ the L2 bank count the data path shards by (default 8, power of two dividing
 the set counts) and `--bank-min M` the per-cycle access count below which a
 batch replays inline (default 256); both affect scheduling only, never
 results.
-environment: BATMEM_SCALE (default 15), BATMEM_EDGE_FACTOR (default 16)";
+environment: BATMEM_SCALE (default 15, at most 31), BATMEM_EDGE_FACTOR (default 16)";
 
 /// Sweep-mode cancel flag, set by the SIGINT handler for a graceful drain.
 static CANCEL: AtomicBool = AtomicBool::new(false);
@@ -75,6 +75,10 @@ fn install_sigint_handler() {}
 fn suite_from_env() -> SuiteConfig {
     let mut suite = SuiteConfig::paper();
     if let Some(scale) = std::env::var("BATMEM_SCALE").ok().and_then(|s| s.parse().ok()) {
+        let scale = check_rmat_scale(scale).unwrap_or_else(|e| {
+            eprintln!("BATMEM_SCALE: {e}\n{USAGE}");
+            std::process::exit(2);
+        });
         suite = suite.with_scale(scale);
     }
     if let Some(ef) = std::env::var("BATMEM_EDGE_FACTOR").ok().and_then(|s| s.parse().ok()) {

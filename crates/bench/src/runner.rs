@@ -10,6 +10,22 @@ use std::sync::{Arc, Mutex};
 
 pub use batmem::policies::ConfigName;
 
+/// Accepts an R-MAT `scale` the generators can build (`2^scale` vertices
+/// must fit in a `u32` id).
+///
+/// # Errors
+///
+/// Returns an error naming the limit when `scale > gen::MAX_RMAT_SCALE`.
+pub fn check_rmat_scale(scale: u32) -> Result<u32, BenchError> {
+    if scale > gen::MAX_RMAT_SCALE {
+        return Err(BenchError::msg(format!(
+            "R-MAT scale {scale} exceeds the maximum {}",
+            gen::MAX_RMAT_SCALE
+        )));
+    }
+    Ok(scale)
+}
+
 /// Suite-wide parameters (graph scale, oversubscription ratio, ...).
 ///
 /// [`SuiteConfig::default`] is the paper's evaluation point (R-MAT scale

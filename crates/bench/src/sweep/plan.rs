@@ -2,7 +2,7 @@
 //! seed) expanded into content-hashed cells.
 
 use crate::error::BenchError;
-use crate::runner::CustomPolicy;
+use crate::runner::{check_rmat_scale, CustomPolicy};
 use batmem::policies::ConfigName;
 use batmem_types::sweep::{CellId, StableHasher};
 use batmem_uvm::InjectConfig;
@@ -212,6 +212,10 @@ impl SweepPlan {
                 return Err(BenchError::msg(format!("sweep plan axis `{axis}` is empty")));
             }
         }
+        for &scale in &self.scales {
+            check_rmat_scale(scale)
+                .map_err(|e| BenchError::context("sweep plan axis `scales`", &e))?;
+        }
         for w in &self.workloads {
             if !registry::irregular_names().contains(&w.as_str()) {
                 return Err(BenchError::msg(format!(
@@ -404,6 +408,13 @@ mod tests {
         assert!(err.contains("dma") && err.contains("gpu-driven"), "{err}");
         p = SweepPlan { threads: 0, ..SweepPlan::default() };
         assert!(p.validate().unwrap_err().to_string().contains("threads"));
+        // `1u32 << 40` wraps, so scale 40 would silently run a 256-vertex
+        // graph labelled `s40`.
+        p = SweepPlan { scales: vec![8, 40], ..SweepPlan::default() };
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains("`scales`") && err.contains("40") && err.contains("31"), "{err}");
+        p = SweepPlan { scales: vec![0, 31], ..SweepPlan::default() };
+        assert!(p.validate().is_ok());
     }
 
     #[test]

@@ -146,34 +146,57 @@ pub struct KcoreResult {
 /// degree is below the current `k`, raising `k` when the graph stabilizes.
 ///
 /// The rounds recorded are exactly the passes a GPU topological KCORE kernel
-/// makes over the vertex set.
+/// makes over the vertex set. Each round is found without rescanning the
+/// vertex set: at a fixed `k` the next round is the vertices whose degree
+/// fell from `k` to `k - 1` during this one, and after `k` rises it is the
+/// live vertices of degree exactly `k - 1`, read from a degree bucket.
 pub fn kcore(g: &Csr) -> KcoreResult {
     let n = g.num_vertices() as usize;
     let mut deg: Vec<u32> = (0..g.num_vertices()).map(|v| g.degree(v)).collect();
     let mut removed = vec![false; n];
     let mut coreness = vec![0u32; n];
     let mut peel_rounds = Vec::new();
+    // `buckets[d]` holds every vertex that reached degree `d` while
+    // `d >= k`; entries whose vertex was removed or dropped further are
+    // stale and skipped when the bucket is read.
+    let max_deg = deg.iter().copied().max().unwrap_or(0);
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_deg as usize + 1];
+    for (v, &d) in deg.iter().enumerate() {
+        buckets[d as usize].push(v as u32);
+    }
     let mut k = 1u32;
     let mut remaining = n;
+    let mut round = std::mem::take(&mut buckets[0]);
     while remaining > 0 {
-        let round: Vec<u32> = (0..n as u32)
-            .filter(|&v| !removed[v as usize] && deg[v as usize] < k)
-            .collect();
         if round.is_empty() {
+            // Every live vertex has degree >= k, so the next round at k + 1
+            // is those of degree exactly k.
+            round = std::mem::take(&mut buckets[k as usize]);
+            round.retain(|&v| !removed[v as usize] && deg[v as usize] == k);
+            round.sort_unstable();
             k += 1;
             continue;
         }
+        let mut next = Vec::new();
         for &v in &round {
             removed[v as usize] = true;
             coreness[v as usize] = k - 1;
             remaining -= 1;
             for &t in g.neighbors(v) {
-                if !removed[t as usize] && deg[t as usize] > 0 {
-                    deg[t as usize] -= 1;
+                let d = &mut deg[t as usize];
+                if !removed[t as usize] && *d > 0 {
+                    *d -= 1;
+                    if *d == k - 1 {
+                        next.push(t);
+                    } else if *d >= k {
+                        buckets[*d as usize].push(t);
+                    }
                 }
             }
         }
         peel_rounds.push(round);
+        next.sort_unstable();
+        round = next;
     }
     KcoreResult { coreness, peel_rounds }
 }

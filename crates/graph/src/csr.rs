@@ -114,23 +114,59 @@ impl Csr {
 
     /// Returns an undirected (symmetrized, deduplicated, loop-free) copy of
     /// this graph: for every edge `u -> v` with `u != v`, both `u -> v` and
-    /// `v -> u` appear exactly once. Weights are dropped.
+    /// `v -> u` appear exactly once. Adjacency runs are ascending. Weights
+    /// are dropped.
     ///
     /// Algorithms that require symmetric adjacency (e.g. Jones-Plassmann
     /// coloring, k-core) should run on a symmetrized graph.
     pub fn symmetrized(&self) -> Csr {
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.edges.len() * 2);
+        let n = self.num_vertices as usize;
+        let loop_free = |v: u32| self.neighbors(v).iter().copied().filter(move |&t| t != v);
+        // Transpose by counting sort. Sources are visited in ascending
+        // order, so every in-list comes out ascending.
+        let mut in_offsets = vec![0u64; n + 1];
         for v in 0..self.num_vertices {
-            for &t in self.neighbors(v) {
-                if t != v {
-                    pairs.push((v, t));
-                    pairs.push((t, v));
-                }
+            for t in loop_free(v) {
+                in_offsets[t as usize + 1] += 1;
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        CsrBuilder::new(self.num_vertices).edges(pairs).build()
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
+        let mut in_edges = vec![0u32; in_offsets[n] as usize];
+        for v in 0..self.num_vertices {
+            for t in loop_free(v) {
+                in_edges[cursor[t as usize] as usize] = v;
+                cursor[t as usize] += 1;
+            }
+        }
+        // Each vertex's adjacency is the union of its sorted out-list and
+        // its in-list.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u64);
+        let mut edges = Vec::with_capacity(2 * in_edges.len());
+        let mut out = Vec::new();
+        for v in 0..self.num_vertices {
+            out.clear();
+            out.extend(loop_free(v));
+            out.sort_unstable();
+            let ins =
+                &in_edges[in_offsets[v as usize] as usize..in_offsets[v as usize + 1] as usize];
+            merge_union(&out, ins, &mut edges);
+            offsets.push(edges.len() as u64);
+        }
+        edges.shrink_to_fit();
+        let csr = Csr { num_vertices: self.num_vertices, offsets, edges, weights: None };
+        debug_assert_eq!(csr.check_invariants(), Ok(()));
+        csr
+    }
+
+    /// Attaches per-edge `weights`, given in edge-array order.
+    pub(crate) fn with_weights(mut self, weights: Vec<u32>) -> Csr {
+        assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
+        self.weights = Some(weights);
+        self
     }
 
     /// Checks the CSR invariants; used by tests and the builder.
@@ -166,6 +202,25 @@ impl Csr {
     }
 }
 
+/// Appends the union of the ascending runs `a` and `b` to `out`, each value
+/// once.
+fn merge_union(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    let start = out.len();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let x = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        if out.len() == start || out[out.len() - 1] != x {
+            out.push(x);
+        }
+    }
+}
+
 /// Incremental builder for [`Csr`] graphs from an edge list.
 ///
 /// Edges may be added in any order; `build` counting-sorts them by source.
@@ -188,6 +243,13 @@ impl CsrBuilder {
             weights: Vec::new(),
             weighted: false,
         }
+    }
+
+    /// A builder over the unweighted edges `srcs[i] -> dsts[i]`, which the
+    /// caller guarantees are in range.
+    pub(crate) fn from_edge_lists(num_vertices: u32, srcs: Vec<u32>, dsts: Vec<u32>) -> Self {
+        debug_assert_eq!(srcs.len(), dsts.len());
+        Self { num_vertices, srcs, dsts, weights: Vec::new(), weighted: false }
     }
 
     /// Adds an unweighted directed edge.

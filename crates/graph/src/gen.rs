@@ -6,12 +6,20 @@
 use crate::csr::{Csr, CsrBuilder};
 use batmem_types::rng::DetRng;
 
+/// Largest R-MAT scale the generators accept: vertex ids are `u32`, so
+/// `2^scale` vertices must fit in one.
+pub const MAX_RMAT_SCALE: u32 = 31;
+
 /// Generates an R-MAT (recursive-matrix / Kronecker) graph with `2^scale`
 /// vertices and `edge_factor * 2^scale` directed edges, using the standard
 /// Graph500 partition probabilities (a, b, c, d) = (0.57, 0.19, 0.19, 0.05).
 ///
 /// R-MAT graphs have heavy-tailed degree distributions like the social and
 /// web graphs the paper's irregular workloads target.
+///
+/// # Panics
+///
+/// Panics if `scale > MAX_RMAT_SCALE`.
 ///
 /// # Examples
 ///
@@ -29,36 +37,37 @@ pub fn rmat(scale: u32, edge_factor: u32, seed: u64) -> Csr {
 ///
 /// # Panics
 ///
-/// Panics if the probabilities are not a valid sub-distribution.
+/// Panics if the probabilities are not a valid sub-distribution, or if
+/// `scale > MAX_RMAT_SCALE`.
 pub fn rmat_with(scale: u32, edge_factor: u32, a: f64, b: f64, c: f64, seed: u64) -> Csr {
     rmat_with_par(scale, edge_factor, a, b, c, seed, 1)
 }
 
-/// One R-MAT edge. The recursive bisection halves both coordinate ranges
-/// once per level, so it consumes **exactly `scale` draws** — the invariant
-/// [`rmat_par`] relies on to jump workers to their chunk offsets.
-fn rmat_edge(rng: &mut DetRng, n: u32, a: f64, b: f64, c: f64) -> (u32, u32) {
-    let (mut lo_s, mut hi_s) = (0u32, n);
-    let (mut lo_d, mut hi_d) = (0u32, n);
-    while hi_s - lo_s > 1 {
-        let mid_s = lo_s + (hi_s - lo_s) / 2;
-        let mid_d = lo_d + (hi_d - lo_d) / 2;
-        let r: f64 = rng.next_f64();
-        if r < a {
-            hi_s = mid_s;
-            hi_d = mid_d;
-        } else if r < a + b {
-            hi_s = mid_s;
-            lo_d = mid_d;
-        } else if r < a + b + c {
-            lo_s = mid_s;
-            hi_d = mid_d;
-        } else {
-            lo_s = mid_s;
-            lo_d = mid_d;
-        }
+/// Cumulative quadrant thresholds `a`, `a + b` and `a + b + c`, evaluated
+/// once with the same f64 expressions (and so the same roundings) that a
+/// per-level `r < a`, `r < a + b`, `r < a + b + c` chain evaluates.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    a: f64,
+    ab: f64,
+    abc: f64,
+}
+
+/// One R-MAT edge. Each level draws `r` once and picks the quadrant
+/// `q = [r >= a] + [r >= a + b] + [r >= a + b + c]` without branching; the
+/// high bit of `q` is the level's source bit and the low bit its
+/// destination bit. The `scale` levels consume **exactly `scale` draws** —
+/// the invariant [`rmat_par`] relies on to jump workers to their chunk
+/// offsets.
+fn rmat_edge(rng: &mut DetRng, scale: u32, t: Thresholds) -> (u32, u32) {
+    let (mut src, mut dst) = (0u32, 0u32);
+    for _ in 0..scale {
+        let r = rng.next_f64();
+        let q = u32::from(r >= t.a) + u32::from(r >= t.ab) + u32::from(r >= t.abc);
+        src = (src << 1) | (q >> 1);
+        dst = (dst << 1) | (q & 1);
     }
-    (lo_s, lo_d)
+    (src, dst)
 }
 
 /// [`rmat`] computed on `threads` worker threads, **bit-identical** to the
@@ -66,11 +75,14 @@ fn rmat_edge(rng: &mut DetRng, n: u32, a: f64, b: f64, c: f64) -> (u32, u32) {
 ///
 /// Edge `e` of the serial stream consumes draws `[e * scale, (e + 1) *
 /// scale)` of the seeded generator; [`DetRng::skip`] jumps a worker's
-/// generator to its chunk boundary in O(1), so each worker reproduces
-/// exactly the edges the serial loop would have produced at those indices.
-/// Chunks are then concatenated in index order, giving the identical edge
-/// sequence (and, since [`CsrBuilder::build`] is a stable sort, the
-/// identical CSR).
+/// generator to its chunk boundary in O(1), so each worker writes exactly
+/// the edges the serial loop would have produced at those indices into its
+/// slice of the edge list. One stable counting sort by source then gives
+/// the identical CSR.
+///
+/// # Panics
+///
+/// Panics if `scale > MAX_RMAT_SCALE`.
 ///
 /// # Examples
 ///
@@ -84,6 +96,11 @@ pub fn rmat_par(scale: u32, edge_factor: u32, seed: u64, threads: usize) -> Csr 
 }
 
 /// [`rmat_with`] on `threads` worker threads; see [`rmat_par`].
+///
+/// # Panics
+///
+/// Panics if the probabilities are not a valid sub-distribution, or if
+/// `scale > MAX_RMAT_SCALE`.
 pub fn rmat_with_par(
     scale: u32,
     edge_factor: u32,
@@ -94,47 +111,33 @@ pub fn rmat_with_par(
     threads: usize,
 ) -> Csr {
     assert!(a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0, "invalid R-MAT probabilities");
+    assert!(scale <= MAX_RMAT_SCALE, "R-MAT scale {scale} exceeds the maximum {MAX_RMAT_SCALE}");
+    let t = Thresholds { a, ab: a + b, abc: a + b + c };
     let n: u32 = 1 << scale;
-    let m = u64::from(edge_factor) * u64::from(n);
-    let mut builder = CsrBuilder::new(n);
-    if threads <= 1 || m < 2 {
+    let m = usize::try_from(u64::from(edge_factor) * u64::from(n))
+        .expect("R-MAT edge count exceeds the address space");
+    let mut srcs = vec![0u32; m];
+    let mut dsts = vec![0u32; m];
+    // Fills the edges starting at serial index `e0`.
+    let fill = |e0: usize, srcs: &mut [u32], dsts: &mut [u32]| {
         let mut rng = DetRng::new(seed);
-        for _ in 0..m {
-            let (s, d) = rmat_edge(&mut rng, n, a, b, c);
-            builder = builder.edge(s, d);
+        rng.skip(e0 as u64 * u64::from(scale));
+        for (s, d) in srcs.iter_mut().zip(dsts.iter_mut()) {
+            (*s, *d) = rmat_edge(&mut rng, scale, t);
         }
-        return builder.build();
+    };
+    let workers = threads.clamp(1, m.max(1));
+    if workers == 1 {
+        fill(0, &mut srcs, &mut dsts);
+    } else {
+        let per = m.div_ceil(workers);
+        std::thread::scope(|scope| {
+            for (i, (s, d)) in srcs.chunks_mut(per).zip(dsts.chunks_mut(per)).enumerate() {
+                scope.spawn(move || fill(i * per, s, d));
+            }
+        });
     }
-    let workers = threads.min(m as usize);
-    // Chunk bounds [e0, e1) per worker; worker i's generator starts at the
-    // serial stream's draw offset e0 * scale.
-    let bounds: Vec<(u64, u64)> = (0..workers as u64)
-        .map(|i| {
-            let per = m / workers as u64;
-            let extra = m % workers as u64;
-            let start = i * per + i.min(extra);
-            (start, start + per + u64::from(i < extra))
-        })
-        .collect();
-    let chunks: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(e0, e1)| {
-                scope.spawn(move || {
-                    let mut rng = DetRng::new(seed);
-                    rng.skip(e0 * u64::from(scale));
-                    (e0..e1).map(|_| rmat_edge(&mut rng, n, a, b, c)).collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rmat worker panicked")).collect()
-    });
-    for chunk in chunks {
-        for (s, d) in chunk {
-            builder = builder.edge(s, d);
-        }
-    }
-    builder.build()
+    CsrBuilder::from_edge_lists(n, srcs, dsts).build()
 }
 
 /// Generates a uniform random directed graph with `n` vertices and `m` edges.
@@ -216,15 +219,7 @@ pub fn rmat_weighted_par(
             all
         })
     };
-    let mut builder = CsrBuilder::new(n);
-    let mut i = 0usize;
-    for v in 0..n {
-        for &t in unweighted.neighbors(v) {
-            builder = builder.weighted_edge(v, t, weights[i]);
-            i += 1;
-        }
-    }
-    builder.build()
+    unweighted.with_weights(weights)
 }
 
 /// Generates a 4-connected 2-D grid of `width × height` vertices
@@ -316,6 +311,19 @@ mod tests {
     #[should_panic(expected = "invalid R-MAT probabilities")]
     fn bad_probabilities_panic() {
         let _ = rmat_with(4, 2, 0.9, 0.2, 0.2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "R-MAT scale 40 exceeds the maximum 31")]
+    fn oversized_scale_panics_instead_of_wrapping() {
+        // `1u32 << 40` would wrap to a 256-vertex graph in a release build.
+        let _ = rmat(40, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "R-MAT scale 32 exceeds")]
+    fn parallel_generator_checks_the_scale_too() {
+        let _ = rmat_par(32, 1, 1, 2);
     }
 
     #[test]

@@ -1,7 +1,120 @@
 //! Property-based tests for the CSR substrate and reference algorithms.
 
-use batmem_graph::{alg, CsrBuilder};
+use batmem_graph::{alg, gen, Csr, CsrBuilder};
 use proptest::prelude::*;
+
+/// Straightforward implementations the optimized generators and
+/// algorithms must match exactly.
+mod reference {
+    use batmem_graph::{alg::KcoreResult, Csr, CsrBuilder};
+    use batmem_types::rng::DetRng;
+
+    /// R-MAT by recursive bisection with a four-way branch per level.
+    pub fn rmat(scale: u32, edge_factor: u32, a: f64, b: f64, c: f64, seed: u64) -> Csr {
+        let n = 1u32 << scale;
+        let mut rng = DetRng::new(seed);
+        let mut builder = CsrBuilder::new(n);
+        for _ in 0..u64::from(edge_factor) * u64::from(n) {
+            let (mut lo_s, mut hi_s) = (0u32, n);
+            let (mut lo_d, mut hi_d) = (0u32, n);
+            while hi_s - lo_s > 1 {
+                let mid_s = lo_s + (hi_s - lo_s) / 2;
+                let mid_d = lo_d + (hi_d - lo_d) / 2;
+                let r: f64 = rng.next_f64();
+                if r < a {
+                    hi_s = mid_s;
+                    hi_d = mid_d;
+                } else if r < a + b {
+                    hi_s = mid_s;
+                    lo_d = mid_d;
+                } else if r < a + b + c {
+                    lo_s = mid_s;
+                    hi_d = mid_d;
+                } else {
+                    lo_s = mid_s;
+                    lo_d = mid_d;
+                }
+            }
+            builder = builder.edge(lo_s, lo_d);
+        }
+        builder.build()
+    }
+
+    /// Symmetrization by sorting and deduplicating both directions of
+    /// every loop-free edge.
+    pub fn symmetrized(g: &Csr) -> Csr {
+        let mut pairs = Vec::new();
+        for v in 0..g.num_vertices() {
+            for &t in g.neighbors(v) {
+                if t != v {
+                    pairs.push((v, t));
+                    pairs.push((t, v));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        CsrBuilder::new(g.num_vertices()).edges(pairs).build()
+    }
+
+    /// K-core peeling that rescans every vertex each round.
+    pub fn kcore(g: &Csr) -> KcoreResult {
+        let n = g.num_vertices() as usize;
+        let mut deg: Vec<u32> = (0..g.num_vertices()).map(|v| g.degree(v)).collect();
+        let mut removed = vec![false; n];
+        let mut coreness = vec![0u32; n];
+        let mut peel_rounds = Vec::new();
+        let mut k = 1u32;
+        let mut remaining = n;
+        while remaining > 0 {
+            let round: Vec<u32> =
+                (0..n as u32).filter(|&v| !removed[v as usize] && deg[v as usize] < k).collect();
+            if round.is_empty() {
+                k += 1;
+                continue;
+            }
+            for &v in &round {
+                removed[v as usize] = true;
+                coreness[v as usize] = k - 1;
+                remaining -= 1;
+                for &t in g.neighbors(v) {
+                    if !removed[t as usize] && deg[t as usize] > 0 {
+                        deg[t as usize] -= 1;
+                    }
+                }
+            }
+            peel_rounds.push(round);
+        }
+        KcoreResult { coreness, peel_rounds }
+    }
+}
+
+/// R-MAT quadrant probabilities `(a, b, c)`: the Graph500 point, sums that
+/// round in f64, and exact 64ths including zero-probability quadrants and
+/// `a + b + c == 1`.
+fn rmat_probabilities() -> impl Strategy<Value = (f64, f64, f64)> {
+    fn sixty_fourths() -> impl Strategy<Value = (f64, f64, f64)> {
+        (0u32..=64).prop_flat_map(|a| {
+            (0u32..=64 - a).prop_flat_map(move |b| {
+                (0u32..=64 - a - b).prop_map(move |c| {
+                    (f64::from(a) / 64.0, f64::from(b) / 64.0, f64::from(c) / 64.0)
+                })
+            })
+        })
+    }
+    prop_oneof![
+        Just((0.57, 0.19, 0.19)),
+        Just((0.1, 0.2, 0.3)),
+        Just((0.45, 0.15, 0.15)),
+        Just((0.25, 0.25, 0.5)),
+        sixty_fourths(),
+        sixty_fourths(),
+    ]
+}
+
+fn directed(n: u32, edges: &[(u32, u32)]) -> Csr {
+    CsrBuilder::new(n).edges(edges.iter().copied()).build()
+}
 
 fn edge_list() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2u32..64).prop_flat_map(|n| {
@@ -11,6 +124,34 @@ fn edge_list() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
 }
 
 proptest! {
+    #[test]
+    fn rmat_matches_the_branchy_reference(
+        scale in 0u32..=12,
+        edge_factor in 0u32..=8,
+        (a, b, c) in rmat_probabilities(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let expect = reference::rmat(scale, edge_factor, a, b, c, seed);
+        prop_assert_eq!(gen::rmat_with(scale, edge_factor, a, b, c, seed), expect.clone());
+        prop_assert_eq!(gen::rmat_with_par(scale, edge_factor, a, b, c, seed, 3), expect);
+    }
+
+    #[test]
+    fn symmetrized_matches_the_sorting_reference((n, edges) in edge_list()) {
+        let g = directed(n, &edges);
+        prop_assert_eq!(g.symmetrized(), reference::symmetrized(&g));
+    }
+
+    #[test]
+    fn kcore_matches_the_scanning_reference((n, edges) in edge_list()) {
+        // Symmetric inputs, as the workloads pass, and directed
+        // multigraphs with self-loops.
+        let g = directed(n, &edges);
+        for g in [g.symmetrized(), g] {
+            prop_assert_eq!(alg::kcore(&g), reference::kcore(&g));
+        }
+    }
+
     #[test]
     fn builder_preserves_edge_multiset((n, edges) in edge_list()) {
         let g = CsrBuilder::new(n).edges(edges.iter().copied()).build();
@@ -118,5 +259,19 @@ proptest! {
         let sum: f64 = r.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-6, "sum = {}", sum);
         prop_assert!(r.iter().all(|&x| x >= 0.0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn kcore_matches_the_scanning_reference_on_rmat(
+        scale in 2u32..=10,
+        edge_factor in 1u32..=16,
+        seed in 0u64..u64::MAX,
+    ) {
+        let g = gen::rmat(scale, edge_factor, seed).symmetrized();
+        prop_assert_eq!(alg::kcore(&g), reference::kcore(&g));
     }
 }
