@@ -132,36 +132,3 @@ fn builder_ratio_sets_capacity_from_footprint() {
 fn zero_ratio_panics() {
     let _ = Simulation::builder().memory_ratio(0.0);
 }
-
-#[test]
-fn sharded_run_matches_serial_on_unit_tests_shape() {
-    // The cheap in-crate determinism check (the full differential matrix
-    // lives in tests/threads.rs): a TO+UE run under pressure, serial vs
-    // sharded, compared field-for-field via Debug formatting.
-    let run = |threads: usize| {
-        let w = Strided::new(64, 256, 56, 2, 50, 3);
-        let mut policy = no_prefetch(PolicyConfig::to_only());
-        policy.oversubscription = ToConfig { max_extra_blocks: 3, ..ToConfig::enabled() };
-        Simulation::builder()
-            .policy(policy)
-            .memory_ratio(0.25)
-            .threads(threads)
-            .try_run(Box::new(w))
-            .unwrap()
-    };
-    let serial = run(1);
-    for threads in [2, 3, 8] {
-        let sharded = run(threads);
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{sharded:?}"),
-            "metrics diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-#[should_panic(expected = "threads must be at least 1")]
-fn zero_threads_panics() {
-    let _ = Simulation::builder().threads(0);
-}

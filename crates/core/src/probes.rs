@@ -160,18 +160,11 @@ pub fn event_to_json(at: Cycle, event: &ProbeEvent) -> String {
                 ",\"batches\":{batches},\"faults\":{faults},\"occupancy_cycles\":{occupancy_cycles}"
             );
         }
-        ProbeEvent::DataPathSummary {
-            l2_hits,
-            l2_misses,
-            l2_conflict_evictions,
-            l2_banks,
-            l2_hot_bank_pct,
-        } => {
+        ProbeEvent::DataPathSummary { l2_hits, l2_misses, l2_conflict_evictions } => {
             let _ = write!(
                 s,
                 ",\"l2_hits\":{l2_hits},\"l2_misses\":{l2_misses},\
-                 \"l2_conflict_evictions\":{l2_conflict_evictions},\"l2_banks\":{l2_banks},\
-                 \"l2_hot_bank_pct\":{l2_hot_bank_pct}"
+                 \"l2_conflict_evictions\":{l2_conflict_evictions}"
             );
         }
         // `ProbeEvent` is non_exhaustive: future variants export their
@@ -583,8 +576,6 @@ pub struct MetricsRow {
     pub splinters: u64,
     /// L2 misses that evicted a resident line from a full set.
     pub l2_conflict_evictions: u64,
-    /// Share of L2 accesses landing on the busiest bank, in percent.
-    pub l2_hot_bank_pct: u64,
 }
 
 impl MetricsRow {
@@ -593,13 +584,13 @@ impl MetricsRow {
         "label,cycles,kernels,batches,faults_raised,faults_absorbed,prefetches,migrations,\
          migrated_bytes,evictions,forced_pinned_evictions,premature_evictions,warp_stalls,\
          warp_resumes,ctx_switches,ctx_switch_cycles,watchdog_ticks,l1_tlb_hits,l1_tlb_misses,\
-         large_tlb_hits,walks,coalesces,splinters,l2_conflict_evictions,l2_hot_bank_pct"
+         large_tlb_hits,walks,coalesces,splinters,l2_conflict_evictions"
     }
 
     /// One CSV row (label first, counters in header order).
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.label,
             self.cycles,
             self.kernels,
@@ -624,46 +615,32 @@ impl MetricsRow {
             self.coalesces,
             self.splinters,
             self.l2_conflict_evictions,
-            self.l2_hot_bank_pct,
         )
     }
 
     /// Parses a row previously rendered by [`MetricsRow::to_csv_row`].
+    /// The sweep artifact store round-trips rows through this, so resume
+    /// can merge completed cells without re-running them.
     ///
-    /// Labels never contain commas (they are `workload/policy@point`
-    /// slugs), but the parser is defensive anyway: the 16 counters are
-    /// taken from the right, and everything left of them is the label. The
-    /// sweep artifact store round-trips rows through this, so resume can
-    /// merge completed cells without re-running them.
-    ///
-    /// Returns `None` when the text has neither 24 (current layout), 22
-    /// (pre-bank-columns layout), nor 16 (pre-translation-columns layout)
-    /// trailing integers — i.e. a truncated or corrupt record. Rows written
-    /// before the newer columns existed parse with those counters as zero,
-    /// so archived sweep stores stay readable.
+    /// Accepts exactly the current layout: a label (labels are
+    /// `workload/policy@point` slugs and never contain commas) followed by
+    /// 23 integer counters. Anything else — a truncated or corrupt record,
+    /// or a row written under an older column layout — returns `None`, and
+    /// the store re-runs that cell.
     pub fn parse_csv_row(line: &str) -> Option<Self> {
         let fields: Vec<&str> = line.trim_end_matches(['\r', '\n']).split(',').collect();
-        // Each legacy fallback only applies to rows too short to hold the
-        // next-newer layout; a corrupt current-layout row must fail, not
-        // have its leading counters reinterpreted as label text.
-        Self::parse_fields(&fields, 24)
-            .or_else(|| if fields.len() < 25 { Self::parse_fields(&fields, 22) } else { None })
-            .or_else(|| if fields.len() < 23 { Self::parse_fields(&fields, 16) } else { None })
-    }
-
-    fn parse_fields(fields: &[&str], counters: usize) -> Option<Self> {
-        if fields.len() < counters + 1 {
+        let (label, counters) = fields.split_first()?;
+        if counters.len() != 23 {
             return None;
         }
-        let label = fields[..fields.len() - counters].join(",");
-        let mut nums = [0u64; 24];
-        for (slot, text) in nums.iter_mut().zip(&fields[fields.len() - counters..]) {
+        let mut nums = [0u64; 23];
+        for (slot, text) in nums.iter_mut().zip(counters) {
             *slot = text.parse().ok()?;
         }
-        let [cycles, kernels, batches, faults_raised, faults_absorbed, prefetches, migrations, migrated_bytes, evictions, forced_pinned_evictions, premature_evictions, warp_stalls, warp_resumes, ctx_switches, ctx_switch_cycles, watchdog_ticks, l1_tlb_hits, l1_tlb_misses, large_tlb_hits, walks, coalesces, splinters, l2_conflict_evictions, l2_hot_bank_pct] =
+        let [cycles, kernels, batches, faults_raised, faults_absorbed, prefetches, migrations, migrated_bytes, evictions, forced_pinned_evictions, premature_evictions, warp_stalls, warp_resumes, ctx_switches, ctx_switch_cycles, watchdog_ticks, l1_tlb_hits, l1_tlb_misses, large_tlb_hits, walks, coalesces, splinters, l2_conflict_evictions] =
             nums;
         Some(Self {
-            label,
+            label: (*label).to_string(),
             cycles,
             kernels,
             batches,
@@ -687,7 +664,6 @@ impl MetricsRow {
             coalesces,
             splinters,
             l2_conflict_evictions,
-            l2_hot_bank_pct,
         })
     }
 
@@ -700,8 +676,7 @@ impl MetricsRow {
              \"premature_evictions\":{},\"warp_stalls\":{},\"warp_resumes\":{},\
              \"ctx_switches\":{},\"ctx_switch_cycles\":{},\"watchdog_ticks\":{},\
              \"l1_tlb_hits\":{},\"l1_tlb_misses\":{},\"large_tlb_hits\":{},\"walks\":{},\
-             \"coalesces\":{},\"splinters\":{},\"l2_conflict_evictions\":{},\
-             \"l2_hot_bank_pct\":{}}}",
+             \"coalesces\":{},\"splinters\":{},\"l2_conflict_evictions\":{}}}",
             json_escape(&self.label),
             self.cycles,
             self.kernels,
@@ -726,7 +701,6 @@ impl MetricsRow {
             self.coalesces,
             self.splinters,
             self.l2_conflict_evictions,
-            self.l2_hot_bank_pct,
         )
     }
 }
@@ -833,10 +807,9 @@ impl Probe for MetricsSink {
                 row.coalesces = coalesces;
                 row.splinters = splinters;
             }
-            ProbeEvent::DataPathSummary { l2_conflict_evictions, l2_hot_bank_pct, .. } => {
+            ProbeEvent::DataPathSummary { l2_conflict_evictions, .. } => {
                 // Emitted once at end of run with absolute totals.
                 row.l2_conflict_evictions = l2_conflict_evictions;
-                row.l2_hot_bank_pct = u64::from(l2_hot_bank_pct);
             }
             _ => {}
         }
@@ -930,13 +903,7 @@ mod tests {
                 splinters: 6,
             },
             ProbeEvent::FaultServicingSummary { batches: 1, faults: 2, occupancy_cycles: 3 },
-            ProbeEvent::DataPathSummary {
-                l2_hits: 1,
-                l2_misses: 2,
-                l2_conflict_evictions: 3,
-                l2_banks: 8,
-                l2_hot_bank_pct: 13,
-            },
+            ProbeEvent::DataPathSummary { l2_hits: 1, l2_misses: 2, l2_conflict_evictions: 3 },
         ];
         for ev in events {
             let json = event_to_json(42, &ev);
@@ -1061,43 +1028,27 @@ mod tests {
             coalesces: 23,
             splinters: 24,
             l2_conflict_evictions: 25,
-            l2_hot_bank_pct: 26,
         };
         let parsed = MetricsRow::parse_csv_row(&row.to_csv_row()).unwrap();
         assert_eq!(parsed, row);
-        // Defensive: a label with a comma still round-trips.
-        let odd = MetricsRow { label: "a,b".into(), ..row.clone() };
-        assert_eq!(MetricsRow::parse_csv_row(&odd.to_csv_row()).unwrap(), odd);
         // Truncated or corrupt rows are rejected, not misparsed.
         assert!(MetricsRow::parse_csv_row("x,1,2,3").is_none());
         assert!(MetricsRow::parse_csv_row(&row.to_csv_row().replace("123", "xyz")).is_none());
     }
 
     #[test]
-    fn legacy_16_counter_rows_still_parse() {
-        // Rows archived before the translation columns existed carry 16
-        // counters; they must keep parsing (new counters read as zero) so
-        // existing sweep stores resume cleanly.
-        let legacy = "BFS-TTC/TO+UE@s8,123,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18";
-        let parsed = MetricsRow::parse_csv_row(legacy).unwrap();
-        assert_eq!(parsed.label, "BFS-TTC/TO+UE@s8");
-        assert_eq!(parsed.cycles, 123);
-        assert_eq!(parsed.watchdog_ticks, 18);
-        assert_eq!(parsed.l1_tlb_hits, 0);
-        assert_eq!(parsed.splinters, 0);
-    }
-
-    #[test]
-    fn legacy_22_counter_rows_still_parse() {
-        // Rows archived before the bank columns existed carry 22 counters;
-        // they must keep parsing (bank counters read as zero).
-        let legacy =
-            "BFS-TTC/TO+UE@s8,123,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24";
-        let parsed = MetricsRow::parse_csv_row(legacy).unwrap();
-        assert_eq!(parsed.label, "BFS-TTC/TO+UE@s8");
-        assert_eq!(parsed.cycles, 123);
-        assert_eq!(parsed.splinters, 24);
-        assert_eq!(parsed.l2_conflict_evictions, 0);
-        assert_eq!(parsed.l2_hot_bank_pct, 0);
+    fn rows_of_any_other_layout_are_rejected() {
+        // Exactly label + 23 counters parses. Rows with 16, 22 or 24
+        // counters (older column layouts) and rows whose label holds a
+        // comma must fail rather than shift counters into the label; the
+        // artifact store then re-runs those cells.
+        let counters = |n: u64| (1..=n).map(|i| i.to_string()).collect::<Vec<_>>().join(",");
+        assert!(MetricsRow::parse_csv_row(&format!("BFS-TTC/TO+UE@s8,{}", counters(23))).is_some());
+        for n in [16, 22, 24] {
+            let row = format!("BFS-TTC/TO+UE@s8,{}", counters(n));
+            assert!(MetricsRow::parse_csv_row(&row).is_none(), "{n} counters parsed");
+        }
+        let comma = MetricsRow { label: "a,b".into(), ..MetricsRow::default() };
+        assert!(MetricsRow::parse_csv_row(&comma.to_csv_row()).is_none());
     }
 }

@@ -232,20 +232,15 @@ pub enum ProbeEvent {
         /// Cumulative handler-occupancy cycles charged by the model.
         occupancy_cycles: u64,
     },
-    /// End-of-run data-path summary (banked L2 accounting), emitted once
-    /// just before the run finishes.
+    /// End-of-run data-path summary (L2 accounting), emitted once just
+    /// before the run finishes.
     DataPathSummary {
-        /// L2 hits summed over banks.
+        /// L2 hits.
         l2_hits: u64,
-        /// L2 misses summed over banks.
+        /// L2 misses.
         l2_misses: u64,
         /// L2 misses that evicted a resident line from a full set.
         l2_conflict_evictions: u64,
-        /// Number of banks the L2 is striped into.
-        l2_banks: u32,
-        /// Share of L2 accesses landing on the busiest bank, in percent
-        /// (100 / banks for a perfectly balanced stripe; 0 if no traffic).
-        l2_hot_bank_pct: u32,
     },
 }
 
