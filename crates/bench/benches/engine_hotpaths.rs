@@ -10,7 +10,7 @@ use batmem::{policies, Simulation};
 use batmem_graph::{alg, gen};
 use batmem_sim::EventQueue;
 use batmem_types::policy::PcieCompression;
-use batmem_types::{FrameId, PageId, SimConfig, SmId};
+use batmem_types::{BlockId, FrameId, KernelId, PageId, SimConfig, SmId};
 use batmem_uvm::{
     FaultBuffer, MemoryManager, PciePipes, PolicyRegistry, StrategyCtx, TreePrefetcher, UvmRuntime,
 };
@@ -241,6 +241,30 @@ fn bench_graph_gen() {
     bench("graph/kcore_peel_scale12", 20, || alg::kcore(&symmetric));
 }
 
+fn bench_fabricate() {
+    // Warp-stream fabrication alone: build and drain every warp's op tape
+    // of a scale-12 KCORE (all its peel rounds), as the engine does once
+    // per warp.
+    let w = registry::build("KCORE", Arc::new(gen::rmat(12, 8, 42))).unwrap();
+    let warp_size = SimConfig::default().gpu.warp_size;
+    bench("workloads/fabricate_kcore_scale12", 10, || {
+        let mut addrs = 0usize;
+        for k in 0..w.num_kernels() {
+            let kernel = w.kernel(KernelId::new(k));
+            let spec = kernel.spec();
+            for b in 0..spec.num_blocks {
+                for warp in 0..spec.warps_per_block(warp_size) {
+                    let mut s = kernel.warp_stream(BlockId::new(b), warp as u16);
+                    while let Some(op) = s.next_op() {
+                        addrs += op.addrs().len();
+                    }
+                }
+            }
+        }
+        addrs
+    });
+}
+
 fn bench_end_to_end() {
     let graph = Arc::new(gen::rmat(10, 8, 42));
     bench("end_to_end/bfs_ttc_scale10_to_ue", 10, || {
@@ -261,5 +285,6 @@ fn main() {
     bench_uvm_batch();
     bench_uvm_batch_registry();
     bench_graph_gen();
+    bench_fabricate();
     bench_end_to_end();
 }

@@ -11,7 +11,7 @@ use batmem_sim::ops::WarpOp;
 use batmem_sim::sm::occupancy;
 use batmem_sim::warp::{WarpContext, WarpPhase};
 use batmem_types::probe::ProbeEvent;
-use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId};
+use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId, VirtAddr};
 use batmem_vmem::TranslationOutcome;
 
 use super::{Engine, Event};
@@ -103,9 +103,11 @@ impl Engine {
                 self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
             }
         } else {
-            for w in self.blocks[idx].ready_inactive_warps() {
-                self.blocks[idx].warps[w].phase = WarpPhase::Ready;
-                self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
+            for (w, warp) in self.blocks[idx].warps.iter_mut().enumerate() {
+                if warp.phase == WarpPhase::ReadyInactive {
+                    warp.phase = WarpPhase::Ready;
+                    self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
+                }
             }
         }
         Ok(())
@@ -151,31 +153,52 @@ impl Engine {
             self.blocks[b].warps[w].phase = WarpPhase::Ready;
             return Ok(());
         }
-        match self.blocks[b].warps[w].take_next_op() {
-            None => {
-                self.blocks[b].warps[w].phase = WarpPhase::Finished;
-                self.warps_retired += 1;
-                if self.blocks[b].all_finished() {
-                    self.retire_block(b)?;
-                } else {
-                    self.maybe_switch(sm)?;
-                }
+        // The stream moves out while its op is in flight: the op borrows its
+        // addresses from the tape, and executing it needs `&mut self`.
+        let mut stream = std::mem::take(&mut self.blocks[b].warps[w].stream);
+        let Some(op) = stream.next_op() else {
+            // The exhausted tape is dropped here, as the warp retires.
+            self.blocks[b].warps[w].phase = WarpPhase::Finished;
+            self.warps_retired += 1;
+            if self.blocks[b].all_finished() {
+                self.retire_block(b)?;
+            } else {
+                self.maybe_switch(sm)?;
             }
-            Some(WarpOp::Compute(c)) => {
-                self.ops_consumed += 1;
+            return Ok(());
+        };
+        self.ops_consumed += 1;
+        let faulted = match op {
+            WarpOp::Compute(c) => {
                 self.blocks[b].warps[w].phase = WarpPhase::Computing;
                 self.events
                     .push(self.clock + Cycle::from(c), Event::WarpWake { block: b, warp: w });
+                false
             }
-            Some(op) => {
-                self.ops_consumed += 1;
-                self.exec_mem(b, w, op)?;
-            }
+            _ => self.exec_mem(b, w, op.addrs())?,
+        };
+        if faulted {
+            // Replay is per-lane, as on real hardware: lanes whose pages were
+            // resident complete now, and only the faulted addresses re-issue,
+            // in order, as the same kind of op. This also guarantees forward
+            // progress when capacity is smaller than a single op's page set
+            // (each replay resolves at least the page that just arrived).
+            let geom = self.cfg.uvm.geometry;
+            let pages = &self.scratch_faulted;
+            stream.retry_last(|a| pages.iter().any(|&(p, _)| p == geom.page_of(a)));
+        }
+        self.blocks[b].warps[w].stream = stream;
+        if faulted {
+            self.stall_on_faults(b, w)?;
         }
         Ok(())
     }
 
-    fn exec_mem(&mut self, b: usize, w: usize, op: WarpOp) -> Result<(), SimError> {
+    /// Translates and issues one memory op. Returns `true` when some of its
+    /// pages faulted: those pages are then left in `scratch_faulted` for
+    /// [`stall_on_faults`](Self::stall_on_faults), and nothing reached the
+    /// data path.
+    fn exec_mem(&mut self, b: usize, w: usize, addrs: &[VirtAddr]) -> Result<bool, SimError> {
         self.mem_ops += 1;
         let sm = self.block_sm[b];
         let geom = self.cfg.uvm.geometry;
@@ -191,7 +214,7 @@ impl Engine {
         // remembering the previous page skips most dedup scans (and the fall
         // through stays correct for unsorted streams).
         let mut prev_page = None;
-        for a in op.addrs() {
+        for a in addrs {
             let page = geom.page_of(*a);
             if prev_page == Some(page) {
                 continue;
@@ -212,11 +235,12 @@ impl Engine {
                 TranslationOutcome::Fault => faulted.push((page, t.latency)),
             }
         }
-        if faulted.is_empty() {
+        let any_fault = !faulted.is_empty();
+        if !any_fault {
             let cc = self.cc.access_penalty();
             let mut total: Cycle = 0;
             let mut prev: Option<(_, Cycle)> = None;
-            for a in op.addrs() {
+            for a in addrs {
                 let page = geom.page_of(*a);
                 let tl = match prev {
                     Some((p, l)) if p == page => l,
@@ -240,60 +264,46 @@ impl Engine {
             }
             self.blocks[b].warps[w].phase = WarpPhase::MemWait;
             self.events.push(self.clock + total, Event::WarpWake { block: b, warp: w });
-            page_lat.clear();
-            self.scratch_page_lat = page_lat;
-            self.scratch_faulted = faulted;
-        } else {
-            // The warp stalls on its faulting pages. Replay is per-lane, as
-            // on real hardware: lanes whose pages were resident complete
-            // now, and only the faulted addresses re-issue — this also
-            // guarantees forward progress when capacity is smaller than a
-            // single op's page set (each replay resolves at least the page
-            // that just arrived).
-            // Collects into an AddrList: at most the original op's (warp-
-            // bounded) transactions, so the retry stays allocation-free.
-            let retry_addrs: batmem_sim::ops::AddrList = op
-                .addrs()
-                .iter()
-                .filter(|a| faulted.iter().any(|&(p, _)| p == geom.page_of(**a)))
-                .copied()
-                .collect();
-            let retry_op = match &op {
-                WarpOp::Store(_) => WarpOp::Store(retry_addrs),
-                _ => WarpOp::Load(retry_addrs),
-            };
-            let n = faulted.len() as u32;
-            {
-                let warp = &mut self.blocks[b].warps[w];
-                warp.pending_retry = Some(retry_op);
-                warp.waiting_pages = n;
-                warp.phase = WarpPhase::FaultBlocked;
-            }
-            let block_id = self.blocks[b].id;
-            self.probes.emit_with(self.clock, || ProbeEvent::WarpStalled {
-                sm: sm as u16,
-                block: block_id.index() as u32,
-                warp: w as u16,
-                waiting_pages: n,
-            });
-            for (page, tl) in faulted.drain(..) {
-                match self.waiters.get_mut(page) {
-                    Some(list) => list.push((b, w)),
-                    None => {
-                        let mut list = self.waiter_pool.pop().unwrap_or_default();
-                        list.push((b, w));
-                        self.waiters.insert(page, list);
-                    }
-                }
-                // The fault reaches the fault buffer when the walk fails.
-                self.events.push(self.clock + tl, Event::RaiseFault { page });
-            }
-            page_lat.clear();
-            self.scratch_page_lat = page_lat;
-            self.scratch_faulted = faulted;
-            self.maybe_switch(sm)?;
         }
-        Ok(())
+        page_lat.clear();
+        self.scratch_page_lat = page_lat;
+        self.scratch_faulted = faulted;
+        Ok(any_fault)
+    }
+
+    /// Blocks warp `w` of block `b` on the pages in `scratch_faulted`
+    /// (whose lanes its stream has already re-queued), raises their
+    /// faults, and gives TO a chance to switch the block out.
+    fn stall_on_faults(&mut self, b: usize, w: usize) -> Result<(), SimError> {
+        let sm = self.block_sm[b];
+        let mut faulted = std::mem::take(&mut self.scratch_faulted);
+        let n = faulted.len() as u32;
+        {
+            let warp = &mut self.blocks[b].warps[w];
+            warp.waiting_pages = n;
+            warp.phase = WarpPhase::FaultBlocked;
+        }
+        let block_id = self.blocks[b].id;
+        self.probes.emit_with(self.clock, || ProbeEvent::WarpStalled {
+            sm: sm as u16,
+            block: block_id.index() as u32,
+            warp: w as u16,
+            waiting_pages: n,
+        });
+        for (page, tl) in faulted.drain(..) {
+            match self.waiters.get_mut(page) {
+                Some(list) => list.push((b, w)),
+                None => {
+                    let mut list = self.waiter_pool.pop().unwrap_or_default();
+                    list.push((b, w));
+                    self.waiters.insert(page, list);
+                }
+            }
+            // The fault reaches the fault buffer when the walk fails.
+            self.events.push(self.clock + tl, Event::RaiseFault { page });
+        }
+        self.scratch_faulted = faulted;
+        self.maybe_switch(sm)
     }
 
     // ---- thread oversubscription (VT context switching) --------------------

@@ -1,6 +1,11 @@
 use super::*;
+use batmem_sim::ops::WarpStream;
 use batmem_types::policy::{EvictionPolicy, PolicyConfig, PrefetchPolicy, SwitchTrigger, ToConfig};
+use batmem_types::probe::Probe;
+use batmem_types::{BlockId, KernelId, VirtAddr};
 use batmem_workloads::synthetic::{SharedPages, Strided};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn no_prefetch(mut p: PolicyConfig) -> PolicyConfig {
     p.prefetch = PrefetchPolicy::None;
@@ -115,6 +120,79 @@ fn mem_ops_count_replays() {
     let m = Simulation::builder().policy(no_prefetch(PolicyConfig::baseline())).try_run(Box::new(w)).unwrap();
     // 4 loads + 4 replays after their faults.
     assert_eq!(m.mem_ops, 8);
+}
+
+/// The default 64 KB page.
+const PAGE_BYTES: u64 = 1 << 16;
+
+/// One warp that loads a line of page 1, then gathers four lines over
+/// pages 0, 1 and 2, with the page-1 lane between the others.
+struct PartlyResidentGather;
+
+impl Workload for PartlyResidentGather {
+    fn name(&self) -> String {
+        "PARTLY-RESIDENT-GATHER".to_string()
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        3 * PAGE_BYTES
+    }
+
+    fn num_kernels(&self) -> u32 {
+        1
+    }
+
+    fn kernel(&self, _k: KernelId) -> Box<dyn Kernel> {
+        Box::new(PartlyResidentGather)
+    }
+}
+
+impl Kernel for PartlyResidentGather {
+    fn spec(&self) -> KernelSpec {
+        KernelSpec { num_blocks: 1, threads_per_block: 32, regs_per_thread: 32 }
+    }
+
+    fn warp_stream(&self, _block: BlockId, _warp_in_block: u16) -> WarpStream {
+        let line = |page: u64, line: u64| VirtAddr::new(page * PAGE_BYTES + line * 128);
+        let mut s = WarpStream::new();
+        s.load([line(1, 0)]);
+        s.load([line(0, 0), line(0, 1), line(1, 1), line(2, 0)]);
+        s
+    }
+}
+
+/// Records the `waiting_pages` of every `WarpStalled` event.
+struct StallLog(Rc<RefCell<Vec<u32>>>);
+
+impl Probe for StallLog {
+    fn on_event(&mut self, _at: Cycle, event: &ProbeEvent) {
+        if let ProbeEvent::WarpStalled { waiting_pages, .. } = event {
+            self.0.borrow_mut().push(*waiting_pages);
+        }
+    }
+}
+
+#[test]
+fn partly_resident_gather_replays_only_the_faulted_lanes() {
+    // The first load makes page 1 resident. The gather then faults on
+    // pages 0 and 2 only, and its replay re-issues just their three lanes
+    // (the order they replay in is pinned by `WarpStream`'s own tests).
+    let stalls = Rc::new(RefCell::new(Vec::new()));
+    let m = Simulation::builder()
+        .policy(no_prefetch(PolicyConfig::baseline()))
+        .probe(StallLog(Rc::clone(&stalls)))
+        .try_run(Box::new(PartlyResidentGather))
+        .unwrap();
+    // Load, its replay, the gather, its replay.
+    assert_eq!(m.mem_ops, 4);
+    let faults: u64 = m.uvm.batches.iter().map(|b| u64::from(b.faults)).sum();
+    assert_eq!(faults, 3, "pages 1, 0 and 2 fault once each");
+    assert_eq!(*stalls.borrow(), vec![1, 2], "the gather waits on two pages, not three");
+    // Only completed issues reach the data path: one lane for the load's
+    // replay and three for the gather's. A replayed page-1 lane would make
+    // it five.
+    assert_eq!(m.l1d.accesses(), 4);
+    assert_eq!(m.warps_retired, 1);
 }
 
 #[test]

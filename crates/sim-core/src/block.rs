@@ -87,28 +87,18 @@ impl BlockContext {
     pub fn is_switch_in_ready(&self) -> bool {
         !self.started || self.warps.iter().any(|w| w.phase == WarpPhase::ReadyInactive)
     }
-
-    /// Warps currently in [`WarpPhase::ReadyInactive`], by index.
-    pub fn ready_inactive_warps(&self) -> Vec<usize> {
-        self.warps
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.phase == WarpPhase::ReadyInactive)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{VecStream, WarpOp};
+    use crate::ops::WarpStream;
 
     fn block_with_phases(phases: &[WarpPhase]) -> BlockContext {
         let mut b = BlockContext::new(BlockId::new(0));
         b.started = true;
         for &p in phases {
-            let mut w = WarpContext::new(Box::new(VecStream::new(vec![WarpOp::Compute(1)])));
+            let mut w = WarpContext::new(WarpStream::new());
             w.phase = p;
             b.warps.push(w);
         }
@@ -149,7 +139,6 @@ mod tests {
     fn ready_inactive_detection() {
         let b = block_with_phases(&[FaultBlocked, ReadyInactive, ReadyInactive]);
         assert!(b.is_switch_in_ready());
-        assert_eq!(b.ready_inactive_warps(), vec![1, 2]);
         let b = block_with_phases(&[FaultBlocked]);
         assert!(!b.is_switch_in_ready());
     }

@@ -3,9 +3,9 @@
 //! This crate provides the building blocks of the event-driven GPU core
 //! model:
 //!
-//! * [`ops`] — the warp-level operation vocabulary ([`ops::WarpOp`]) and the
-//!   traits workloads implement to describe kernels as lazy per-warp access
-//!   streams ([`ops::Workload`], [`ops::Kernel`], [`ops::AccessStream`]);
+//! * [`ops`] — the warp-level operation vocabulary ([`ops::WarpOp`]), the
+//!   per-warp op tape ([`ops::WarpStream`]), and the traits workloads
+//!   implement to describe kernels ([`ops::Workload`], [`ops::Kernel`]);
 //! * [`events`] — a deterministic discrete-event queue;
 //! * [`cache`] — set-associative LRU data caches and the L1→L2→DRAM data
 //!   path;
@@ -31,6 +31,6 @@ mod wheel;
 pub use block::{BlockContext, BlockResidency};
 pub use cache::{DataCache, MemPath};
 pub use events::{EventQueue, SchedulerOccupancy};
-pub use ops::{AccessStream, Kernel, KernelSpec, WarpOp, Workload};
+pub use ops::{Kernel, KernelSpec, WarpOp, WarpStream, Workload};
 pub use sm::{Occupancy, Sm};
 pub use warp::{WarpContext, WarpPhase};

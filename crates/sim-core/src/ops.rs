@@ -1,7 +1,8 @@
 //! The warp-level operation vocabulary and workload description traits.
 //!
-//! Workloads are modeled as **access streams**: each warp executes a lazy
-//! sequence of [`WarpOp`]s — compute delays and coalesced memory operations.
+//! Workloads are modeled as **access streams**: each warp executes a
+//! [`WarpStream`] of [`WarpOp`]s — compute delays and coalesced memory
+//! operations.
 //! This captures exactly the behaviour demand paging responds to (which
 //! addresses are touched, in what order, with what divergence) while
 //! abstracting per-instruction pipeline details (see DESIGN.md,
@@ -9,115 +10,26 @@
 
 use batmem_types::{BlockId, KernelId, VirtAddr};
 
-/// Transactions an [`AddrList`] stores without heap allocation: one warp's
-/// worth, which is the most a 32-lane coalescer emits per operation.
-pub const INLINE_TXNS: usize = 32;
-
-/// A coalesced memory operation's transaction addresses.
-///
-/// Up to [`INLINE_TXNS`] entries live inline — since the stream builders
-/// chunk coalesced transactions at warp size, every op they emit takes the
-/// inline path, so constructing and dropping ops on the engine's hot loop
-/// never touches the allocator. Wider lists (hand-built streams) spill to a
-/// heap vector transparently.
-#[derive(Clone)]
-pub struct AddrList(Repr);
-
-// The size asymmetry is the point: the inline variant IS the intended
-// storage, and ops this size move through `Vec`s and `Option`s a couple of
-// times per event — far cheaper than the malloc/free pair it replaces.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-enum Repr {
-    Inline { len: u8, buf: [VirtAddr; INLINE_TXNS] },
-    Heap(Vec<VirtAddr>),
-}
-
-impl AddrList {
-    /// The transactions as a slice.
-    pub fn as_slice(&self) -> &[VirtAddr] {
-        match &self.0 {
-            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
-            Repr::Heap(v) => v,
-        }
-    }
-}
-
-impl std::ops::Deref for AddrList {
-    type Target = [VirtAddr];
-
-    fn deref(&self) -> &[VirtAddr] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for AddrList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for AddrList {}
-
-impl std::fmt::Debug for AddrList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-impl FromIterator<VirtAddr> for AddrList {
-    fn from_iter<I: IntoIterator<Item = VirtAddr>>(iter: I) -> Self {
-        let mut buf = [VirtAddr::default(); INLINE_TXNS];
-        let mut len = 0usize;
-        let mut iter = iter.into_iter();
-        for a in iter.by_ref() {
-            if len == INLINE_TXNS {
-                // Spill: keep what's inline, then extend on the heap.
-                let mut v = Vec::with_capacity(INLINE_TXNS * 2);
-                v.extend_from_slice(&buf);
-                v.push(a);
-                v.extend(iter);
-                return Self(Repr::Heap(v));
-            }
-            buf[len] = a;
-            len += 1;
-        }
-        Self(Repr::Inline { len: len as u8, buf })
-    }
-}
-
-impl From<Vec<VirtAddr>> for AddrList {
-    fn from(v: Vec<VirtAddr>) -> Self {
-        if v.len() <= INLINE_TXNS {
-            let mut buf = [VirtAddr::default(); INLINE_TXNS];
-            buf[..v.len()].copy_from_slice(&v);
-            Self(Repr::Inline { len: v.len() as u8, buf })
-        } else {
-            Self(Repr::Heap(v))
-        }
-    }
-}
-
-/// One warp-level operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WarpOp {
+/// One warp-level operation, borrowed from its [`WarpStream`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarpOp<'a> {
     /// `cycles` of computation before the next operation can issue.
     Compute(u32),
     /// A coalesced load: one entry per distinct memory transaction the
     /// warp's 32 lanes generate (1 for a fully coalesced access, up to 32
     /// for fully divergent scatter/gather).
-    Load(AddrList),
+    Load(&'a [VirtAddr]),
     /// A coalesced store; timing-wise identical to a load in this model
     /// (write-allocate), tracked separately for statistics.
-    Store(AddrList),
+    Store(&'a [VirtAddr]),
 }
 
-impl WarpOp {
+impl<'a> WarpOp<'a> {
     /// The addresses this op touches (empty for compute).
-    pub fn addrs(&self) -> &[VirtAddr] {
-        match self {
+    pub fn addrs(&self) -> &'a [VirtAddr] {
+        match *self {
             WarpOp::Compute(_) => &[],
-            WarpOp::Load(a) | WarpOp::Store(a) => a.as_slice(),
+            WarpOp::Load(a) | WarpOp::Store(a) => a,
         }
     }
 
@@ -127,18 +39,129 @@ impl WarpOp {
     }
 }
 
-/// A lazy per-warp instruction stream.
-///
-/// Implementations are single-pass iterators; the engine calls
-/// [`AccessStream::next_op`] each time the warp is ready to issue.
-pub trait AccessStream {
-    /// Produces the warp's next operation, or `None` when the warp has
-    /// retired all its work.
-    fn next_op(&mut self) -> Option<WarpOp>;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    Compute,
+    Load,
+    Store,
 }
 
-/// A boxed access stream, as returned by [`Kernel::warp_stream`].
-pub type BoxedStream = Box<dyn AccessStream + Send>;
+/// One op on the tape: its kind plus, for compute, the cycle count, and for
+/// memory ops, how many entries of the address tape it owns.
+#[derive(Debug, Clone, Copy)]
+struct OpHeader {
+    kind: OpKind,
+    arg: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<OpHeader>() == 8);
+
+/// One warp's operation stream, stored as a tape.
+///
+/// Ops are 8-byte headers; every memory op's addresses sit back to back in
+/// one flat address vector, in op order. [`next_op`](Self::next_op) hands
+/// out borrowed [`WarpOp`]s, so issuing an op copies nothing, and a faulted
+/// op is replayed in place by [`retry_last`](Self::retry_last) (DESIGN.md
+/// §14).
+#[derive(Debug, Clone, Default)]
+pub struct WarpStream {
+    ops: Vec<OpHeader>,
+    addrs: Vec<VirtAddr>,
+    /// Index of the next op to issue.
+    next: usize,
+    /// Where the next memory op's addresses start in `addrs`.
+    next_addr: usize,
+}
+
+impl WarpStream {
+    /// Creates an empty stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `cycles` of computation. Zero is a no-op, and a compute op
+    /// directly after another merges into it, so streams stay compact.
+    pub fn compute(&mut self, cycles: u32) {
+        if cycles == 0 {
+            return;
+        }
+        match self.ops.last_mut() {
+            Some(h) if h.kind == OpKind::Compute => h.arg = h.arg.saturating_add(cycles),
+            _ => self.ops.push(OpHeader { kind: OpKind::Compute, arg: cycles }),
+        }
+    }
+
+    /// Appends a load of `addrs`, one entry per coalesced transaction.
+    pub fn load(&mut self, addrs: impl IntoIterator<Item = VirtAddr>) {
+        self.push_mem(OpKind::Load, addrs);
+    }
+
+    /// Appends a store to `addrs`, one entry per coalesced transaction.
+    pub fn store(&mut self, addrs: impl IntoIterator<Item = VirtAddr>) {
+        self.push_mem(OpKind::Store, addrs);
+    }
+
+    fn push_mem(&mut self, kind: OpKind, addrs: impl IntoIterator<Item = VirtAddr>) {
+        let start = self.addrs.len();
+        self.addrs.extend(addrs);
+        let arg = u32::try_from(self.addrs.len() - start).expect("op address count fits u32");
+        self.ops.push(OpHeader { kind, arg });
+    }
+
+    /// Ops on the tape, issued or not.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the tape holds no ops.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Issues the warp's next operation, or `None` once every op has
+    /// issued.
+    pub fn next_op(&mut self) -> Option<WarpOp<'_>> {
+        let h = *self.ops.get(self.next)?;
+        self.next += 1;
+        if h.kind == OpKind::Compute {
+            return Some(WarpOp::Compute(h.arg));
+        }
+        let start = self.next_addr;
+        self.next_addr += h.arg as usize;
+        let addrs = &self.addrs[start..self.next_addr];
+        Some(if h.kind == OpKind::Load { WarpOp::Load(addrs) } else { WarpOp::Store(addrs) })
+    }
+
+    /// Re-queues the last issued memory op with only the addresses `keep`
+    /// accepts: the next [`next_op`](Self::next_op) returns an op of the
+    /// same kind over those addresses, in their original order.
+    ///
+    /// The kept addresses are packed into the tail of the op's own slice
+    /// and the cursor steps back one op, so a retry never allocates and
+    /// can repeat any number of times. `keep` sees each address once, last
+    /// to first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no op has issued yet or the last one was a compute op.
+    pub fn retry_last(&mut self, keep: impl Fn(VirtAddr) -> bool) {
+        let last = self.next.checked_sub(1).expect("retry_last before any op issued");
+        let h = &mut self.ops[last];
+        assert!(h.kind != OpKind::Compute, "retry_last after a compute op");
+        let end = self.next_addr;
+        let mut kept = end;
+        for i in (end - h.arg as usize..end).rev() {
+            let a = self.addrs[i];
+            if keep(a) {
+                kept -= 1;
+                self.addrs[kept] = a;
+            }
+        }
+        h.arg = (end - kept) as u32;
+        self.next = last;
+        self.next_addr = kept;
+    }
+}
 
 /// The launch geometry of one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,12 +199,12 @@ pub trait Kernel: Send + Sync {
     /// The kernel's launch geometry.
     fn spec(&self) -> KernelSpec;
 
-    /// Builds the access stream of warp `warp_in_block` of `block`.
+    /// Builds the operation stream of warp `warp_in_block` of `block`.
     ///
     /// Called exactly once per warp, when the block is first activated.
     /// Implementations must be pure functions of `(block, warp_in_block)`
     /// — the stream's contents may not depend on call order or timing.
-    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream;
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> WarpStream;
 }
 
 /// A complete workload: an ordered sequence of kernel launches over a fixed
@@ -205,35 +228,20 @@ pub trait Workload: Send {
     fn kernel(&self, k: KernelId) -> Box<dyn Kernel>;
 }
 
-/// A ready-made stream over a fixed op vector (testing and simple kernels).
-#[derive(Debug, Clone)]
-pub struct VecStream {
-    ops: std::vec::IntoIter<WarpOp>,
-}
-
-impl VecStream {
-    /// Creates a stream that yields `ops` in order.
-    pub fn new(ops: Vec<WarpOp>) -> Self {
-        Self { ops: ops.into_iter() }
-    }
-}
-
-impl AccessStream for VecStream {
-    fn next_op(&mut self) -> Option<WarpOp> {
-        self.ops.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn addr(raw: u64) -> VirtAddr {
+        VirtAddr::new(raw)
+    }
 
     #[test]
     fn warp_op_addr_views() {
         let c = WarpOp::Compute(5);
         assert!(c.addrs().is_empty());
         assert!(!c.is_mem());
-        let l = WarpOp::Load(vec![VirtAddr::new(64)].into());
+        let l = WarpOp::Load(&[VirtAddr::new(64)]);
         assert_eq!(l.addrs(), &[VirtAddr::new(64)]);
         assert!(l.is_mem());
     }
@@ -252,11 +260,60 @@ mod tests {
     }
 
     #[test]
-    fn vec_stream_yields_in_order() {
-        let mut s = VecStream::new(vec![WarpOp::Compute(1), WarpOp::Compute(2)]);
+    fn warp_stream_yields_in_order() {
+        let mut s = WarpStream::new();
+        s.compute(1);
+        s.load([addr(0), addr(128)]);
+        s.store([addr(256)]);
+        s.compute(2);
+        assert_eq!(s.len(), 4);
         assert_eq!(s.next_op(), Some(WarpOp::Compute(1)));
+        assert_eq!(s.next_op(), Some(WarpOp::Load(&[addr(0), addr(128)])));
+        assert_eq!(s.next_op(), Some(WarpOp::Store(&[addr(256)])));
         assert_eq!(s.next_op(), Some(WarpOp::Compute(2)));
         assert_eq!(s.next_op(), None);
         assert_eq!(s.next_op(), None);
+    }
+
+    #[test]
+    fn compute_merges_and_zero_is_dropped() {
+        let mut s = WarpStream::new();
+        s.compute(0);
+        assert!(s.is_empty());
+        s.compute(3);
+        s.compute(u32::MAX);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.next_op(), Some(WarpOp::Compute(u32::MAX)));
+    }
+
+    #[test]
+    fn retry_replays_kept_addresses_in_order_before_the_next_op() {
+        let mut s = WarpStream::new();
+        s.store([addr(0), addr(1), addr(2), addr(3)]);
+        s.load([addr(9)]);
+        assert!(s.next_op().is_some());
+        s.retry_last(|a| a.raw() % 2 == 0);
+        assert_eq!(s.next_op(), Some(WarpOp::Store(&[addr(0), addr(2)])));
+        s.retry_last(|a| a.raw() == 2);
+        assert_eq!(s.next_op(), Some(WarpOp::Store(&[addr(2)])));
+        assert_eq!(s.next_op(), Some(WarpOp::Load(&[addr(9)])));
+        assert_eq!(s.next_op(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "after a compute op")]
+    fn retrying_a_compute_op_panics() {
+        let mut s = WarpStream::new();
+        s.compute(4);
+        let _ = s.next_op();
+        s.retry_last(|_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "before any op issued")]
+    fn retrying_before_any_issue_panics() {
+        let mut s = WarpStream::new();
+        s.load([addr(0)]);
+        s.retry_last(|_| true);
     }
 }

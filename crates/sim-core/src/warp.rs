@@ -1,6 +1,6 @@
 //! Warp execution state.
 
-use crate::ops::{BoxedStream, WarpOp};
+use crate::ops::WarpStream;
 use std::fmt;
 
 /// What a warp is currently doing.
@@ -44,12 +44,11 @@ impl WarpPhase {
 
 /// The execution context of one warp.
 pub struct WarpContext {
-    /// The warp's remaining instruction stream.
-    pub stream: BoxedStream,
+    /// The warp's instruction stream; a faulted op is re-queued on it
+    /// with [`WarpStream::retry_last`].
+    pub stream: WarpStream,
     /// Current phase.
     pub phase: WarpPhase,
-    /// A memory op that faulted and must be retried once the pages arrive.
-    pub pending_retry: Option<WarpOp>,
     /// Outstanding faulted pages this warp is waiting on.
     pub waiting_pages: u32,
 }
@@ -59,21 +58,14 @@ impl fmt::Debug for WarpContext {
         f.debug_struct("WarpContext")
             .field("phase", &self.phase)
             .field("waiting_pages", &self.waiting_pages)
-            .field("has_retry", &self.pending_retry.is_some())
             .finish()
     }
 }
 
 impl WarpContext {
     /// Creates a ready warp over `stream`.
-    pub fn new(stream: BoxedStream) -> Self {
-        Self { stream, phase: WarpPhase::Ready, pending_retry: None, waiting_pages: 0 }
-    }
-
-    /// Takes the next op to execute: a pending faulted retry first,
-    /// otherwise the next stream op.
-    pub fn take_next_op(&mut self) -> Option<WarpOp> {
-        self.pending_retry.take().or_else(|| self.stream.next_op())
+    pub fn new(stream: WarpStream) -> Self {
+        Self { stream, phase: WarpPhase::Ready, waiting_pages: 0 }
     }
 
     /// Records that one awaited page arrived; returns `true` when the warp
@@ -92,25 +84,25 @@ impl WarpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::VecStream;
+    use crate::ops::WarpOp;
     use batmem_types::VirtAddr;
-
-    fn warp(ops: Vec<WarpOp>) -> WarpContext {
-        WarpContext::new(Box::new(VecStream::new(ops)))
-    }
 
     #[test]
     fn retry_takes_priority_over_stream() {
-        let mut w = warp(vec![WarpOp::Compute(1)]);
-        w.pending_retry = Some(WarpOp::Load(vec![VirtAddr::new(0)].into()));
-        assert_eq!(w.take_next_op(), Some(WarpOp::Load(vec![VirtAddr::new(0)].into())));
-        assert_eq!(w.take_next_op(), Some(WarpOp::Compute(1)));
-        assert_eq!(w.take_next_op(), None);
+        let mut stream = WarpStream::new();
+        stream.load([VirtAddr::new(0), VirtAddr::new(1 << 16)]);
+        stream.compute(1);
+        let mut w = WarpContext::new(stream);
+        assert!(w.stream.next_op().is_some());
+        w.stream.retry_last(|a| a.raw() == 0);
+        assert_eq!(w.stream.next_op(), Some(WarpOp::Load(&[VirtAddr::new(0)])));
+        assert_eq!(w.stream.next_op(), Some(WarpOp::Compute(1)));
+        assert_eq!(w.stream.next_op(), None);
     }
 
     #[test]
     fn page_arrival_counts_down() {
-        let mut w = warp(vec![]);
+        let mut w = WarpContext::new(WarpStream::new());
         w.phase = WarpPhase::FaultBlocked;
         w.waiting_pages = 2;
         assert!(!w.page_arrived());
@@ -120,7 +112,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "awaits none")]
     fn unexpected_page_arrival_panics() {
-        let mut w = warp(vec![]);
+        let mut w = WarpContext::new(WarpStream::new());
         w.page_arrived();
     }
 

@@ -149,3 +149,91 @@ proptest! {
         }
     }
 }
+
+/// One op of the naive reference stream: owned, so a retry is a plain
+/// filter into a fresh vector.
+#[derive(Debug, Clone, PartialEq)]
+enum RefOp {
+    Compute(u32),
+    Load(Vec<VirtAddr>),
+    Store(Vec<VirtAddr>),
+}
+
+/// Keeps an address when `mask` has the bit of its 64 KB page set, the way
+/// the engine keeps the lanes of faulted pages.
+fn kept_by(mask: u16, a: VirtAddr) -> bool {
+    mask >> ((a.raw() >> 16) % 16) & 1 == 1
+}
+
+proptest! {
+    #[test]
+    fn warp_stream_retry_matches_a_naive_filter(
+        // (kind, compute cycles, transactions as (page, line) pairs). Zero
+        // cycles and back-to-back computes exercise the merge rule; a
+        // 16-page by 4-line address space repeats pages and lines.
+        tape in prop::collection::vec(
+            (0u8..3, 0u32..50, prop::collection::vec((0u64..16, 0u64..4), 0..12)),
+            0..24,
+        ),
+        // Per memory op, the page masks of successive retries.
+        retries in prop::collection::vec(prop::collection::vec(0u16..u16::MAX, 0..4), 0..24),
+    ) {
+        use batmem_sim::ops::{WarpOp, WarpStream};
+
+        let mut stream = WarpStream::new();
+        let mut reference: Vec<RefOp> = Vec::new();
+        for (kind, cycles, txns) in &tape {
+            let addrs: Vec<VirtAddr> =
+                txns.iter().map(|&(page, line)| VirtAddr::new(page << 16 | line << 7)).collect();
+            match kind {
+                0 => {
+                    stream.compute(*cycles);
+                    match reference.last_mut() {
+                        _ if *cycles == 0 => {}
+                        Some(RefOp::Compute(c)) => *c = c.saturating_add(*cycles),
+                        _ => reference.push(RefOp::Compute(*cycles)),
+                    }
+                }
+                1 => {
+                    stream.load(addrs.iter().copied());
+                    reference.push(RefOp::Load(addrs));
+                }
+                _ => {
+                    stream.store(addrs.iter().copied());
+                    reference.push(RefOp::Store(addrs));
+                }
+            }
+        }
+        prop_assert_eq!(stream.len(), reference.len());
+
+        let owned = |op: WarpOp<'_>| match op {
+            WarpOp::Compute(c) => RefOp::Compute(c),
+            WarpOp::Load(a) => RefOp::Load(a.to_vec()),
+            WarpOp::Store(a) => RefOp::Store(a.to_vec()),
+        };
+        let mut mem_ops = 0;
+        for expected in reference {
+            let got = stream.next_op().map(owned);
+            prop_assert_eq!(got.as_ref(), Some(&expected));
+            if matches!(expected, RefOp::Compute(_)) {
+                continue;
+            }
+            let masks = retries.get(mem_ops).cloned().unwrap_or_default();
+            mem_ops += 1;
+            let mut expected = expected;
+            for mask in masks {
+                stream.retry_last(|a| kept_by(mask, a));
+                // The naive retry: filter the previous issue's addresses,
+                // keeping their order and the op's kind.
+                expected = match expected {
+                    RefOp::Load(a) => RefOp::Load(a.into_iter().filter(|&x| kept_by(mask, x)).collect()),
+                    RefOp::Store(a) => RefOp::Store(a.into_iter().filter(|&x| kept_by(mask, x)).collect()),
+                    RefOp::Compute(_) => unreachable!("compute ops are never retried"),
+                };
+                let got = stream.next_op().map(owned);
+                prop_assert_eq!(got.as_ref(), Some(&expected));
+            }
+        }
+        prop_assert_eq!(stream.next_op(), None);
+    }
+}

@@ -13,7 +13,7 @@
 use crate::common::{thread_centric_spec, warp_item_range, ArrayOptions, GraphArrays};
 use crate::stream::StreamBuilder;
 use batmem_graph::{alg, Csr};
-use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
+use batmem_sim::ops::{Kernel, KernelSpec, WarpStream, Workload};
 use batmem_types::{BlockId, KernelId};
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ impl Kernel for BcKernel {
         thread_centric_spec(u64::from(self.shared.graph.num_vertices()))
     }
 
-    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> WarpStream {
         let sh = &self.shared;
         let mut b = StreamBuilder::new();
         let total = u64::from(sh.graph.num_vertices());

@@ -7,7 +7,7 @@
 use crate::common::{thread_centric_spec, warp_item_range, ArrayOptions, GraphArrays};
 use crate::stream::StreamBuilder;
 use batmem_graph::Csr;
-use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
+use batmem_sim::ops::{Kernel, KernelSpec, WarpStream, Workload};
 use batmem_types::{BlockId, KernelId};
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ impl Kernel for PrKernel {
         thread_centric_spec(u64::from(self.shared.graph.num_vertices()))
     }
 
-    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> WarpStream {
         let sh = &self.shared;
         let mut b = StreamBuilder::new();
         let total = u64::from(sh.graph.num_vertices());
@@ -156,13 +156,13 @@ mod tests {
         let g = Arc::new(gen::rmat(6, 4, 4));
         let w = Pr::with_iterations(Arc::clone(&g), 2);
         let rank_a = w.shared.arrays.vprops[0];
-        let first_op_of = |iter: u32| {
+        let first_addr_of = |iter: u32| {
             let k = w.kernel(KernelId::new(iter));
             let mut s = k.warp_stream(BlockId::new(0), 0);
-            s.next_op().unwrap()
+            s.next_op().unwrap().addrs()[0]
         };
-        let a0 = first_op_of(0).addrs()[0];
-        let a1 = first_op_of(1).addrs()[0];
+        let a0 = first_addr_of(0);
+        let a1 = first_addr_of(1);
         assert_eq!(a0, rank_a.base());
         assert_ne!(a1, rank_a.base());
     }

@@ -11,7 +11,7 @@
 
 use crate::layout::{ArrayRef, LayoutBuilder};
 use crate::stream::StreamBuilder;
-use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
+use batmem_sim::ops::{Kernel, KernelSpec, WarpStream, Workload};
 use batmem_types::{BlockId, KernelId};
 use std::sync::Arc;
 
@@ -137,7 +137,7 @@ impl Kernel for TiledKernel {
         }
     }
 
-    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> WarpStream {
         let inner = &self.inner;
         let mut b = StreamBuilder::new();
         let warp_elems = 32 * inner.elems_per_thread;

@@ -7,7 +7,7 @@
 use crate::common::{warp_centric_spec, warp_item, ArrayOptions, GraphArrays};
 use crate::stream::StreamBuilder;
 use batmem_graph::{alg, Csr, CsrBuilder};
-use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
+use batmem_sim::ops::{Kernel, KernelSpec, WarpStream, Workload};
 use batmem_types::{BlockId, KernelId};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -85,7 +85,7 @@ impl Kernel for SsspKernel {
         warp_centric_spec(u64::from(self.shared.graph.num_vertices()), 32)
     }
 
-    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> WarpStream {
         let sh = &self.shared;
         let mut b = StreamBuilder::new();
         let total = u64::from(sh.graph.num_vertices());

@@ -1,22 +1,23 @@
 //! Warp-level stream construction helpers.
 //!
-//! Kernels build a warp's operation list through a [`StreamBuilder`], which
+//! Kernels build a warp's [`WarpStream`] through a [`StreamBuilder`], which
 //! performs the coalescing a GPU's load/store unit would: consecutive
 //! per-lane accesses to the same 128-byte line merge into one transaction,
 //! and scattered (divergent) accesses are deduplicated by line and split
 //! into at most warp-size transactions per operation.
 
 use crate::layout::ArrayRef;
-use batmem_sim::ops::{AccessStream, AddrList, VecStream, WarpOp};
+use batmem_sim::ops::WarpStream;
 use batmem_types::VirtAddr;
 
 /// Default log2 of the transaction (cache line) size: 128 bytes.
 pub const LINE_SHIFT: u32 = 7;
 
-/// Builds one warp's coalesced operation stream.
+/// Builds one warp's coalesced operation stream, appending straight to its
+/// tape.
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
-    ops: Vec<WarpOp>,
+    tape: WarpStream,
     /// Line-id scratch recycled across coalesce calls; stream construction
     /// runs once per warp wake-up on the engine's hot path, so the per-op
     /// working set must not allocate.
@@ -28,27 +29,30 @@ pub struct StreamBuilder {
 impl StreamBuilder {
     /// Creates a builder with the default 128-byte line and 32-lane warp.
     pub fn new() -> Self {
-        Self { ops: Vec::new(), lines: Vec::new(), line_shift: LINE_SHIFT, warp_size: 32 }
+        Self { tape: WarpStream::new(), lines: Vec::new(), line_shift: LINE_SHIFT, warp_size: 32 }
     }
 
-    /// Appends `cycles` of computation (no-op when zero).
+    /// Appends `cycles` of computation (no-op when zero; adjacent compute
+    /// ops merge).
     pub fn compute(&mut self, cycles: u32) -> &mut Self {
-        if cycles > 0 {
-            // Merge adjacent compute ops to keep streams compact.
-            if let Some(WarpOp::Compute(c)) = self.ops.last_mut() {
-                *c = c.saturating_add(cycles);
-            } else {
-                self.ops.push(WarpOp::Compute(cycles));
-            }
-        }
+        self.tape.compute(cycles);
         self
+    }
+
+    /// Appends one memory op over `txns`.
+    fn push_op(&mut self, txns: impl Iterator<Item = VirtAddr>, store: bool) {
+        if store {
+            self.tape.store(txns);
+        } else {
+            self.tape.load(txns);
+        }
     }
 
     /// Coalesces `addrs` into per-line transactions and appends them as
     /// `store`-or-load ops. One transaction per distinct line; sort-dedup
     /// keeps this O(k log k) — hub vertices in power-law graphs gather tens
     /// of thousands of addresses per operation. The line scratch is reused
-    /// across calls, so the only allocations are the op payloads themselves.
+    /// across calls, so the only allocations are the tape's own growth.
     fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
         let mut lines = std::mem::take(&mut self.lines);
         lines.clear();
@@ -57,9 +61,7 @@ impl StreamBuilder {
         lines.sort_unstable();
         lines.dedup();
         for chunk in lines.chunks(self.warp_size) {
-            let txns: AddrList =
-                chunk.iter().map(|&l| VirtAddr::new(l << shift)).collect();
-            self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
+            self.push_op(chunk.iter().map(|&l| VirtAddr::new(l << shift)), store);
         }
         self.lines = lines;
     }
@@ -85,8 +87,7 @@ impl StreamBuilder {
         let mut line = first;
         while line <= last {
             let n = (last - line + 1).min(self.warp_size as u64);
-            let txns: AddrList = (line..line + n).map(|l| VirtAddr::new(l << shift)).collect();
-            self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
+            self.push_op((line..line + n).map(|l| VirtAddr::new(l << shift)), store);
             line += n;
         }
     }
@@ -125,22 +126,17 @@ impl StreamBuilder {
 
     /// Number of ops queued so far.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.tape.len()
     }
 
     /// Whether no ops are queued.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.tape.is_empty()
     }
 
     /// Finishes the stream.
-    pub fn build(self) -> Box<dyn AccessStream + Send> {
-        Box::new(VecStream::new(self.ops))
-    }
-
-    /// Returns the raw ops (testing).
-    pub fn into_ops(self) -> Vec<WarpOp> {
-        self.ops
+    pub fn build(self) -> WarpStream {
+        self.tape
     }
 }
 
@@ -154,6 +150,7 @@ impl Default for StreamBuilder {
 mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
+    use batmem_sim::ops::WarpOp;
 
     fn array(elem: u32, len: u64) -> ArrayRef {
         LayoutBuilder::new(65_536).array(elem, len)
@@ -164,9 +161,9 @@ mod tests {
         let a = array(4, 1000);
         let mut b = StreamBuilder::new();
         b.load_seq(&a, 0, 32); // 32 * 4 B = 128 B = exactly one line
-        let ops = b.into_ops();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].addrs().len(), 1);
+        let mut s = b.build();
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.next_op().unwrap().addrs().len(), 1);
     }
 
     #[test]
@@ -174,9 +171,9 @@ mod tests {
         let a = array(8, 1000);
         let mut b = StreamBuilder::new();
         b.load_seq(&a, 0, 32); // 256 B = two lines -> one op, two transactions
-        let ops = b.into_ops();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].addrs().len(), 2);
+        let mut s = b.build();
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.next_op().unwrap().addrs().len(), 2);
     }
 
     #[test]
@@ -185,10 +182,10 @@ mod tests {
         let mut b = StreamBuilder::new();
         // 64 indices, 1024 elements apart: 64 distinct lines -> 2 ops of 32.
         b.load_gather(&a, (0..64).map(|i| i * 1024));
-        let ops = b.into_ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].addrs().len(), 32);
-        assert_eq!(ops[1].addrs().len(), 32);
+        let mut s = b.build();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.next_op().unwrap().addrs().len(), 32);
+        assert_eq!(s.next_op().unwrap().addrs().len(), 32);
     }
 
     #[test]
@@ -196,17 +193,18 @@ mod tests {
         let a = array(4, 100);
         let mut b = StreamBuilder::new();
         b.load_gather(&a, [0, 1, 2, 5, 7]);
-        let ops = b.into_ops();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].addrs().len(), 1);
+        let mut s = b.build();
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.next_op().unwrap().addrs().len(), 1);
     }
 
     #[test]
     fn compute_merges() {
         let mut b = StreamBuilder::new();
         b.compute(3).compute(4).compute(0);
-        let ops = b.into_ops();
-        assert_eq!(ops, vec![WarpOp::Compute(7)]);
+        let mut s = b.build();
+        assert_eq!(s.next_op(), Some(WarpOp::Compute(7)));
+        assert_eq!(s.next_op(), None);
     }
 
     #[test]
@@ -214,8 +212,7 @@ mod tests {
         let a = array(4, 100);
         let mut b = StreamBuilder::new();
         b.store_seq(&a, 0, 4);
-        let ops = b.into_ops();
-        assert!(matches!(ops[0], WarpOp::Store(_)));
+        assert!(matches!(b.build().next_op(), Some(WarpOp::Store(_))));
     }
 
     #[test]

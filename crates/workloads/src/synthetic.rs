@@ -2,7 +2,7 @@
 
 use crate::layout::{ArrayRef, LayoutBuilder};
 use crate::stream::StreamBuilder;
-use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
+use batmem_sim::ops::{Kernel, KernelSpec, WarpStream, Workload};
 use batmem_types::{BlockId, KernelId};
 use std::sync::Arc;
 
@@ -108,7 +108,7 @@ impl Kernel for StridedKernel {
         }
     }
 
-    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> WarpStream {
         let inner = &self.inner;
         let wpb = u64::from(inner.threads_per_block / 32);
         let warp_id = block.index() as u64 * wpb + u64::from(warp_in_block);
@@ -208,7 +208,7 @@ impl Kernel for SharedKernel {
         }
     }
 
-    fn warp_stream(&self, _block: BlockId, _warp_in_block: u16) -> BoxedStream {
+    fn warp_stream(&self, _block: BlockId, _warp_in_block: u16) -> WarpStream {
         let inner = &self.inner;
         let page_bytes = crate::common::PAGE_BYTES;
         let mut b = StreamBuilder::new();
