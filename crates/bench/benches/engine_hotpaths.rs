@@ -10,12 +10,13 @@ use batmem::{policies, Simulation};
 use batmem_graph::{alg, gen};
 use batmem_sim::EventQueue;
 use batmem_types::policy::PcieCompression;
+use batmem_types::rng::DetRng;
 use batmem_types::{BlockId, FrameId, KernelId, PageId, SimConfig, SmId};
 use batmem_uvm::{
     FaultBuffer, MemoryManager, PciePipes, PolicyRegistry, StrategyCtx, TreePrefetcher, UvmRuntime,
 };
 use batmem_vmem::Mmu;
-use batmem_workloads::registry;
+use batmem_workloads::{registry, LayoutBuilder, StreamBuilder};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -168,6 +169,52 @@ fn bench_mmu_translate() {
     });
 }
 
+fn bench_mmu_translate_skewed() {
+    // Real traffic instead of a cycle: 512 resident pages, eight times
+    // the 64-entry L1 TLB and half the L2 TLB. Three translations in four
+    // revisit one of the last 16 accessed; the rest pick any page, so L1
+    // hits land at varied LRU depths and L1 misses refill from the L2.
+    let mut mmu = Mmu::new(&SimConfig::default());
+    for i in 0..512u64 {
+        mmu.install(PageId::new(i), FrameId::new(i as u32), 0).expect("fresh page");
+    }
+    let mut rng = DetRng::new(7);
+    let mut trace: Vec<u64> = Vec::with_capacity(1024);
+    for i in 0..1024usize {
+        let page = if i > 0 && rng.chance_percent(75) {
+            trace[i - 1 - rng.below(i.min(16) as u64) as usize]
+        } else {
+            rng.below(512)
+        };
+        trace.push(page);
+    }
+    let mut now = 0;
+    bench("mmu/translate_skewed_x1024", 500, || {
+        for &p in &trace {
+            now += 1;
+            black_box(mmu.translate(SmId::new(0), PageId::new(p), now).expect("resident"));
+        }
+    });
+}
+
+fn bench_l2_random() {
+    // The default 16-way, 2 MB L2 under random lines over twice its
+    // capacity: about half the accesses miss and evict, and hits land
+    // anywhere in the LRU order.
+    let mut l2 = batmem_sim::DataCache::new(batmem_types::config::MemConfig::default().l2d);
+    let lines = 2 * 2 * 1024 * 1024 / 128;
+    let mut rng = DetRng::new(11);
+    let addrs: Vec<batmem_types::VirtAddr> =
+        (0..4096).map(|_| batmem_types::VirtAddr::new(rng.below(lines) << 7)).collect();
+    bench("cache/l2_random_x4096", 500, || {
+        let mut hits = 0u32;
+        for &a in &addrs {
+            hits += u32::from(l2.access(a));
+        }
+        hits
+    });
+}
+
 fn bench_pcie() {
     bench("pcie/schedule_1024_pages", 200, || {
         let mut p = PciePipes::new(15_750_000_000, 17_300_000_000, PcieCompression::default());
@@ -265,6 +312,24 @@ fn bench_fabricate() {
     });
 }
 
+fn bench_gather_hub() {
+    // One hub vertex's gather: 8192 random indices into a 1 MB array of
+    // u32 (8192 lines), coalesced into a tape and drained.
+    let a = LayoutBuilder::new(65_536).array(4, 1 << 18);
+    let mut rng = DetRng::new(13);
+    let indices: Vec<u64> = (0..8192).map(|_| rng.below(1 << 18)).collect();
+    bench("workloads/gather_hub", 200, || {
+        let mut b = StreamBuilder::new();
+        b.load_gather(&a, indices.iter().copied());
+        let mut s = b.build();
+        let mut addrs = 0usize;
+        while let Some(op) = s.next_op() {
+            addrs += op.addrs().len();
+        }
+        addrs
+    });
+}
+
 fn bench_end_to_end() {
     let graph = Arc::new(gen::rmat(10, 8, 42));
     bench("end_to_end/bfs_ttc_scale10_to_ue", 10, || {
@@ -281,10 +346,13 @@ fn main() {
     bench_memory_manager();
     bench_cache_index();
     bench_mmu_translate();
+    bench_mmu_translate_skewed();
+    bench_l2_random();
     bench_pcie();
     bench_uvm_batch();
     bench_uvm_batch_registry();
     bench_graph_gen();
     bench_fabricate();
+    bench_gather_hub();
     bench_end_to_end();
 }

@@ -53,12 +53,20 @@ impl SetIndexer {
     }
 }
 
+/// Marks an empty way in [`DataCache`]'s tag array. Only the last byte of
+/// the 64-bit address space at a 1-byte line could reach it.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative, true-LRU data cache over cache-line ids.
 ///
-/// Purely a tag model: hit/miss drives latency, no data is stored.
+/// Purely a tag model: hit/miss drives latency, no data is stored. Tags
+/// live in one flat `sets × ways` array. Each set's ways are ordered
+/// most recently used first, with empty ways ([`EMPTY`]) padded at the
+/// tail, so a lookup scans from the front and an access moves its line
+/// to the front by sliding the ways before it down one slot.
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
     indexer: SetIndexer,
     ways: usize,
     line_shift: u32,
@@ -71,7 +79,7 @@ impl DataCache {
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.num_sets() as u64;
         Self {
-            sets: vec![Vec::with_capacity(geom.ways as usize); sets as usize],
+            tags: vec![EMPTY; sets as usize * geom.ways as usize],
             indexer: SetIndexer::new(sets),
             ways: geom.ways as usize,
             line_shift: geom.line_shift,
@@ -89,25 +97,34 @@ impl DataCache {
     /// fills the line (evicting LRU) on miss.
     pub fn access(&mut self, addr: VirtAddr) -> bool {
         let line = self.line_of(addr);
-        let entries = &mut self.sets[self.indexer.set_of(line)];
-        // Scan from the MRU end: temporal locality means the hit is usually
-        // near the back. Rotating in place keeps recency order without the
-        // double shift of a remove-then-push.
-        if let Some(pos) = entries.iter().rposition(|&l| l == line) {
-            entries[pos..].rotate_left(1);
-            self.stats.hits += 1;
-            true
-        } else {
-            if entries.len() == self.ways {
-                entries.rotate_left(1);
-                *entries.last_mut().expect("set is non-empty") = line;
-                self.stats.conflict_evictions += 1;
-            } else {
-                entries.push(line);
+        debug_assert_ne!(line, EMPTY, "line id collides with the empty-way marker");
+        let first = self.indexer.set_of(line) * self.ways;
+        let set = &mut self.tags[first..first + self.ways];
+        // Temporal locality puts the hit near the MRU front.
+        let hit = set.iter().position(|&l| l == line);
+        let mut pos = match hit {
+            Some(pos) => {
+                self.stats.hits += 1;
+                pos
             }
-            self.stats.misses += 1;
-            false
+            None => {
+                // A miss drops the tail way: the LRU line when the set is
+                // full, else one of the empty ways padded there.
+                self.stats.misses += 1;
+                if set[set.len() - 1] != EMPTY {
+                    self.stats.conflict_evictions += 1;
+                }
+                set.len() - 1
+            }
+        };
+        // Slide the more recent ways down over `pos` and put the line in
+        // front.
+        while pos > 0 {
+            set[pos] = set[pos - 1];
+            pos -= 1;
         }
+        set[0] = line;
+        hit.is_some()
     }
 
     /// The hit latency of this cache.

@@ -1,6 +1,6 @@
 //! Property-based tests for the event queue and cache models.
 
-use batmem_sim::cache::DataCache;
+use batmem_sim::cache::{CacheStats, DataCache};
 use batmem_sim::EventQueue;
 use batmem_types::config::CacheGeometry;
 use batmem_types::VirtAddr;
@@ -146,6 +146,69 @@ proptest! {
         }
         for &l in &lines {
             prop_assert!(c.access(VirtAddr::new(l * 128)));
+        }
+    }
+}
+
+/// The `Vec`-per-set LRU logic `DataCache` used before its flat tag
+/// array, kept as the oracle: `sets[s]` is an LRU stack with the most
+/// recently used line at the back.
+struct OracleCache {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+    stats: CacheStats,
+}
+
+impl OracleCache {
+    fn new(sets: usize, ways: usize) -> Self {
+        Self { sets: vec![Vec::new(); sets], ways, stats: CacheStats::default() }
+    }
+
+    fn access(&mut self, line: u64) -> bool {
+        let n = self.sets.len() as u64;
+        let entries = &mut self.sets[(line % n) as usize];
+        if let Some(pos) = entries.iter().rposition(|&l| l == line) {
+            entries[pos..].rotate_left(1);
+            self.stats.hits += 1;
+            true
+        } else {
+            if entries.len() == self.ways {
+                entries.rotate_left(1);
+                *entries.last_mut().unwrap() = line;
+                self.stats.conflict_evictions += 1;
+            } else {
+                entries.push(line);
+            }
+            self.stats.misses += 1;
+            false
+        }
+    }
+}
+
+proptest! {
+    /// The flat MRU-first tag array is exactly the true-LRU oracle, hit
+    /// for hit, at any associativity and at power-of-two (mask) and odd
+    /// (modulo) set counts.
+    #[test]
+    fn data_cache_matches_the_vec_lru_oracle(
+        (ways, sets, accesses) in (1u32..65, 1u32..40).prop_flat_map(|(ways, sets)| {
+            // Lines over about twice the capacity: hits, cold misses and
+            // conflict evictions all occur.
+            let reach = u64::from(ways * sets) * 2 + 1;
+            (Just(ways), Just(sets), prop::collection::vec((0..reach, 0u64..128), 1..600))
+        }),
+    ) {
+        let mut c = DataCache::new(CacheGeometry {
+            capacity_bytes: sets * ways * 128,
+            ways,
+            line_shift: 7,
+            hit_latency: 4,
+        });
+        let mut oracle = OracleCache::new(sets as usize, ways as usize);
+        for (i, &(line, offset)) in accesses.iter().enumerate() {
+            let got = c.access(VirtAddr::new(line * 128 + offset));
+            prop_assert_eq!(got, oracle.access(line), "access {} to line {}", i, line);
+            prop_assert_eq!(c.stats(), oracle.stats);
         }
     }
 }

@@ -5,7 +5,8 @@ use batmem_types::{PageId, RegionId};
 /// A tag a [`Tlb`] can cache: base pages for the classic TLBs, large-page
 /// groups ([`RegionId`]) for the coalesced-mapping TLBs.
 pub trait TlbKey: Copy + PartialEq + std::fmt::Debug {
-    /// Dense index used for set selection.
+    /// Dense index: selects the set, and the key's slot in the TLB's
+    /// key → way index, which grows to the largest key inserted.
     fn cache_index(self) -> u64;
 }
 
@@ -44,11 +45,22 @@ impl TlbStats {
     }
 }
 
+/// Marks a key with no resident way in [`Tlb`]'s index.
+const NO_WAY: u32 = u32::MAX;
+
 /// A set-associative TLB with true-LRU replacement within each set.
 ///
 /// A fully associative TLB (the paper's per-SM L1 TLB) is one set whose way
 /// count equals the entry count. The tag type defaults to [`PageId`]; the
 /// large-page TLBs instantiate it with [`RegionId`] tags.
+///
+/// Tags live in one flat `sets × ways` array with a last-use stamp per
+/// way, and a dense index maps each key to the way holding it. A hit is
+/// one index read plus a stamp write, however wide the set; only a fill
+/// scans its set's stamps, for an empty way or the LRU victim (the
+/// smallest stamp). Keys are dense by construction (page ids, large-page
+/// groups, page-walk-cache groups), so the index is a plain vector grown
+/// on demand.
 ///
 /// # Examples
 ///
@@ -65,8 +77,17 @@ impl TlbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb<K: TlbKey = PageId> {
-    /// `sets[s]` is an LRU stack: most recently used at the back.
-    sets: Vec<Vec<K>>,
+    /// `index[key.cache_index()]` is the flat way holding `key`, or
+    /// [`NO_WAY`]. Keys past the end have no way.
+    index: Vec<u32>,
+    /// Way `s * ways + w` is way `w` of set `s`; `None` is an empty way.
+    tags: Vec<Option<K>>,
+    /// Last-use stamp per way; 0 for an empty way, so a fill takes an
+    /// empty way before it evicts.
+    stamps: Vec<u64>,
+    /// Source of stamps: bumped on every hit and fill.
+    clock: u64,
+    num_sets: u64,
     ways: usize,
     stats: TlbStats,
 }
@@ -80,9 +101,12 @@ impl<K: TlbKey> Tlb<K> {
     pub fn new(entries: u32, ways: u32) -> Self {
         assert!(ways > 0 && entries > 0, "TLB must have entries");
         assert_eq!(entries % ways, 0, "entries must divide into ways");
-        let num_sets = (entries / ways) as usize;
         Self {
-            sets: vec![Vec::with_capacity(ways as usize); num_sets],
+            index: Vec::new(),
+            tags: vec![None; entries as usize],
+            stamps: vec![0; entries as usize],
+            clock: 0,
+            num_sets: u64::from(entries / ways),
             ways: ways as usize,
             stats: TlbStats::default(),
         }
@@ -93,17 +117,34 @@ impl<K: TlbKey> Tlb<K> {
         Self::new(entries, entries)
     }
 
-    fn set_of(&self, page: K) -> usize {
-        (page.cache_index() % self.sets.len() as u64) as usize
+    /// The way holding `key`, if it is resident.
+    #[inline]
+    fn way_of(&self, key: K) -> Option<usize> {
+        let way = *self.index.get(usize::try_from(key.cache_index()).ok()?)?;
+        (way != NO_WAY).then_some(way as usize)
+    }
+
+    /// Marks `way` most recently used.
+    #[inline]
+    fn touch(&mut self, way: usize) {
+        self.clock += 1;
+        self.stamps[way] = self.clock;
+    }
+
+    /// Points `key`'s index slot at `way`, growing the index if needed.
+    fn set_way(&mut self, key: K, way: u32) {
+        let i = usize::try_from(key.cache_index()).expect("TLB key fits the address space");
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NO_WAY);
+        }
+        self.index[i] = way;
     }
 
     /// Looks up `page`, updating LRU state. Returns `true` on a hit.
+    #[inline]
     pub fn lookup(&mut self, page: K) -> bool {
-        let s = self.set_of(page);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            let p = set.remove(pos);
-            set.push(p);
+        if let Some(way) = self.way_of(page) {
+            self.touch(way);
             self.stats.hits += 1;
             true
         } else {
@@ -114,42 +155,47 @@ impl<K: TlbKey> Tlb<K> {
 
     /// Checks for `page` without perturbing LRU state or statistics.
     pub fn contains(&self, page: K) -> bool {
-        self.sets[self.set_of(page)].contains(&page)
+        self.way_of(page).is_some()
     }
 
     /// Inserts `page` as most recently used, evicting the set's LRU entry
     /// if the set is full. Returns the evicted page, if any.
     pub fn insert(&mut self, page: K) -> Option<K> {
-        let ways = self.ways;
-        let s = self.set_of(page);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            let p = set.remove(pos);
-            set.push(p);
+        if let Some(way) = self.way_of(page) {
+            self.touch(way);
             return None;
         }
-        let victim = if set.len() == ways { Some(set.remove(0)) } else { None };
-        set.push(page);
+        let first = (page.cache_index() % self.num_sets) as usize * self.ways;
+        // Empty ways carry stamp 0 and live stamps are unique, so the
+        // smallest stamp is an empty way if there is one, else the LRU way.
+        let way = (first..first + self.ways)
+            .min_by_key(|&w| self.stamps[w])
+            .expect("a set has at least one way");
+        let victim = self.tags[way].replace(page);
+        if let Some(old) = victim {
+            self.set_way(old, NO_WAY);
+        }
+        self.set_way(page, way as u32);
+        self.touch(way);
         victim
     }
 
     /// Invalidates `page` (TLB shootdown on eviction). Returns whether the
     /// page was present.
     pub fn invalidate(&mut self, page: K) -> bool {
-        let s = self.set_of(page);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            set.remove(pos);
-            self.stats.shootdowns += 1;
-            true
-        } else {
-            false
-        }
+        let Some(way) = self.way_of(page) else {
+            return false;
+        };
+        self.tags[way] = None;
+        self.stamps[way] = 0;
+        self.set_way(page, NO_WAY);
+        self.stats.shootdowns += 1;
+        true
     }
 
     /// Current number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.tags.iter().filter(|t| t.is_some()).count()
     }
 
     /// Accumulated statistics.

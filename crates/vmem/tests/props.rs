@@ -1,7 +1,7 @@
 //! Property-based tests for the virtual-memory substrate.
 
 use batmem_types::{FrameId, PageId, RegionId};
-use batmem_vmem::{GpuPageTable, Tlb};
+use batmem_vmem::{GpuPageTable, Tlb, TlbStats};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,6 +44,104 @@ fn tier_ops() -> impl Strategy<Value = Vec<TierOp>> {
         ],
         0..300,
     )
+}
+
+#[derive(Debug, Clone)]
+enum TlbOp {
+    Lookup(u64),
+    Insert(u64),
+    Invalidate(u64),
+    Contains(u64),
+}
+
+/// The `Vec`-per-set LRU logic `Tlb` used before its dense index and
+/// stamps, kept as the oracle: `sets[s]` is an LRU stack with the most
+/// recently used key at the back.
+struct OracleTlb {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+    stats: TlbStats,
+}
+
+impl OracleTlb {
+    fn new(entries: u32, ways: u32) -> Self {
+        Self {
+            sets: vec![Vec::new(); (entries / ways) as usize],
+            ways: ways as usize,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn set(&mut self, key: u64) -> &mut Vec<u64> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(key % n) as usize]
+    }
+
+    fn lookup(&mut self, key: u64) -> bool {
+        let set = self.set(key);
+        if let Some(pos) = set.iter().position(|&k| k == key) {
+            let k = set.remove(pos);
+            set.push(k);
+            self.stats.hits += 1;
+            true
+        } else {
+            self.stats.misses += 1;
+            false
+        }
+    }
+
+    fn insert(&mut self, key: u64) -> Option<u64> {
+        let ways = self.ways;
+        let set = self.set(key);
+        if let Some(pos) = set.iter().position(|&k| k == key) {
+            let k = set.remove(pos);
+            set.push(k);
+            return None;
+        }
+        let victim = if set.len() == ways { Some(set.remove(0)) } else { None };
+        set.push(key);
+        victim
+    }
+
+    fn invalidate(&mut self, key: u64) -> bool {
+        let set = self.set(key);
+        if let Some(pos) = set.iter().position(|&k| k == key) {
+            set.remove(pos);
+            self.stats.shootdowns += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn contains(&mut self, key: u64) -> bool {
+        self.set(key).contains(&key)
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// A TLB shape (`ways`, `sets`) and an op mix over keys reaching about
+/// twice its capacity, so hits, fills, evictions and shootdowns all occur.
+fn tlb_case() -> impl Strategy<Value = (u32, u32, Vec<TlbOp>)> {
+    (1u32..65, 1u32..12).prop_flat_map(|(ways, sets)| {
+        let reach = u64::from(ways * sets) * 2 + 1;
+        let ops = prop::collection::vec(
+            // Lookup and Insert arms doubled: fills dominate, as in the MMU.
+            prop_oneof![
+                (0..reach).prop_map(TlbOp::Lookup),
+                (0..reach).prop_map(TlbOp::Lookup),
+                (0..reach).prop_map(TlbOp::Insert),
+                (0..reach).prop_map(TlbOp::Insert),
+                (0..reach).prop_map(TlbOp::Invalidate),
+                (0..reach).prop_map(TlbOp::Contains),
+            ],
+            1..600,
+        );
+        (Just(ways), Just(sets), ops)
+    })
 }
 
 fn pt_ops() -> impl Strategy<Value = Vec<PtOp>> {
@@ -138,6 +236,34 @@ proptest! {
             for &g in &promoted {
                 prop_assert!(pt.group_is_full(RegionId::new(g)));
             }
+        }
+    }
+
+    /// The indexed, stamped TLB is exactly the true-LRU oracle: every
+    /// hit, miss, victim, shootdown and occupancy, at any associativity
+    /// and at power-of-two and odd set counts.
+    #[test]
+    fn tlb_matches_the_vec_lru_oracle((ways, sets, ops) in tlb_case()) {
+        let mut tlb = Tlb::new(ways * sets, ways);
+        let mut oracle = OracleTlb::new(ways * sets, ways);
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                TlbOp::Lookup(k) => {
+                    prop_assert_eq!(tlb.lookup(PageId::new(k)), oracle.lookup(k), "op {}", i);
+                }
+                TlbOp::Insert(k) => {
+                    let got = tlb.insert(PageId::new(k)).map(PageId::index);
+                    prop_assert_eq!(got, oracle.insert(k), "op {}", i);
+                }
+                TlbOp::Invalidate(k) => {
+                    prop_assert_eq!(tlb.invalidate(PageId::new(k)), oracle.invalidate(k), "op {}", i);
+                }
+                TlbOp::Contains(k) => {
+                    prop_assert_eq!(tlb.contains(PageId::new(k)), oracle.contains(k), "op {}", i);
+                }
+            }
+            prop_assert_eq!(tlb.occupancy(), oracle.occupancy());
+            prop_assert_eq!(tlb.stats(), oracle.stats);
         }
     }
 

@@ -48,18 +48,26 @@ impl StreamBuilder {
         }
     }
 
-    /// Coalesces `addrs` into per-line transactions and appends them as
-    /// `store`-or-load ops. One transaction per distinct line; sort-dedup
-    /// keeps this O(k log k) — hub vertices in power-law graphs gather tens
-    /// of thousands of addresses per operation. The line scratch is reused
-    /// across calls, so the only allocations are the tape's own growth.
-    fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
+    /// Coalesces the elements of `array` at `indices` into per-line
+    /// transactions and appends them as `store`-or-load ops: one
+    /// transaction per distinct line, in ascending line order. Hub
+    /// vertices in power-law graphs gather tens of thousands of addresses
+    /// per operation, so a wide gather over a dense span deduplicates
+    /// through a bitmap in O(k); any other gather sorts and dedups in
+    /// O(k log k). The line scratch (which also holds the bitmap) is
+    /// reused across calls, so the only allocations are the tape's own
+    /// growth.
+    fn push_gather(&mut self, array: &ArrayRef, indices: impl Iterator<Item = u64>, store: bool) {
         let mut lines = std::mem::take(&mut self.lines);
         lines.clear();
         let shift = self.line_shift;
-        lines.extend(addrs.map(|a| a.line(shift)));
-        lines.sort_unstable();
-        lines.dedup();
+        lines.extend(indices.map(|i| array.addr(i).line(shift)));
+        let first = array.base().line(shift);
+        let end = (array.base().raw() + array.size_bytes()).div_ceil(1 << shift);
+        if !dedup_by_bitmap(&mut lines, first, end - first) {
+            lines.sort_unstable();
+            lines.dedup();
+        }
         for chunk in lines.chunks(self.warp_size) {
             self.push_op(chunk.iter().map(|&l| VirtAddr::new(l << shift)), store);
         }
@@ -79,7 +87,7 @@ impl StreamBuilder {
         if u64::from(array.elem_bytes()) > (1u64 << shift) {
             // An element wider than a line can skip lines between
             // consecutive element starts; use the general path.
-            self.push_coalesced((start..start + count).map(|i| array.addr(i)), store);
+            self.push_gather(array, start..start + count, store);
             return;
         }
         let first = array.addr(start).line(shift);
@@ -111,7 +119,7 @@ impl StreamBuilder {
     where
         I: IntoIterator<Item = u64>,
     {
-        self.push_coalesced(indices.into_iter().map(|i| array.addr(i)), false);
+        self.push_gather(array, indices.into_iter(), false);
         self
     }
 
@@ -120,7 +128,7 @@ impl StreamBuilder {
     where
         I: IntoIterator<Item = u64>,
     {
-        self.push_coalesced(indices.into_iter().map(|i| array.addr(i)), true);
+        self.push_gather(array, indices.into_iter(), true);
         self
     }
 
@@ -140,6 +148,57 @@ impl StreamBuilder {
     }
 }
 
+/// Gathers over more lines than this may deduplicate through a bitmap.
+const BITMAP_MIN_LINES: usize = 32;
+
+/// Sorts and dedups `lines` through a bitmap over the `span` lines from
+/// `first`, leaving exactly what `sort_unstable` + `dedup` would, and
+/// returns `true`. Declines, leaving `lines` as it was and returning
+/// `false`, when the gather is too narrow to pay (at most
+/// [`BITMAP_MIN_LINES`] lines), when the span is sparse (more than 64 × the
+/// line count, so clearing and scanning the bitmap would dominate), or when
+/// a line lies outside the span (an out-of-bounds index, which release
+/// builds do not catch).
+///
+/// The bitmap needs at most one word per line, so it lives in `lines`
+/// itself, past the lines: no second buffer is allocated.
+fn dedup_by_bitmap(lines: &mut Vec<u64>, first: u64, span: u64) -> bool {
+    let k = lines.len();
+    if k <= BITMAP_MIN_LINES || span > 64 * k as u64 {
+        return false;
+    }
+    lines.resize(k + span.div_ceil(64) as usize, 0);
+    let (keys, bits) = lines.split_at_mut(k);
+    let mut in_span = true;
+    for &line in keys.iter() {
+        let off = line.wrapping_sub(first);
+        if off >= span {
+            in_span = false;
+            break;
+        }
+        bits[(off / 64) as usize] |= 1 << (off % 64);
+    }
+    if !in_span {
+        lines.truncate(k);
+        return false;
+    }
+    // Read the set bits back in ascending order over the front of the
+    // buffer. At most `k` lines are distinct, so the writes stay below
+    // the bitmap they read.
+    let mut n = 0;
+    for w in k..lines.len() {
+        let mut word = lines[w];
+        let base = first + 64 * (w - k) as u64;
+        while word != 0 {
+            lines[n] = base + u64::from(word.trailing_zeros());
+            n += 1;
+            word &= word - 1;
+        }
+    }
+    lines.truncate(n);
+    true
+}
+
 impl Default for StreamBuilder {
     fn default() -> Self {
         Self::new()
@@ -151,6 +210,7 @@ mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
     use batmem_sim::ops::WarpOp;
+    use proptest::prelude::*;
 
     fn array(elem: u32, len: u64) -> ArrayRef {
         LayoutBuilder::new(65_536).array(elem, len)
@@ -196,6 +256,90 @@ mod tests {
         let mut s = b.build();
         assert_eq!(s.len(), 1);
         assert_eq!(s.next_op().unwrap().addrs().len(), 1);
+    }
+
+    /// The sort-dedup reference every gather must reproduce.
+    fn sort_dedup(mut lines: Vec<u64>) -> Vec<u64> {
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+    }
+
+    #[test]
+    fn wide_dense_gather_takes_the_bitmap_and_matches_sort_dedup() {
+        let mut lines: Vec<u64> = (0..100).map(|i| 1000 + (i * 37) % 150).collect();
+        let want = sort_dedup(lines.clone());
+        assert!(dedup_by_bitmap(&mut lines, 1000, 150));
+        assert_eq!(lines, want);
+        // A line past the span declines, whatever precedes it.
+        let mut lines: Vec<u64> = (0..100).map(|i| 1000 + i).chain([1150]).collect();
+        let before = lines.clone();
+        assert!(!dedup_by_bitmap(&mut lines, 1000, 150));
+        assert_eq!(lines, before);
+        let mut lines: Vec<u64> = [999].into_iter().chain((0..100).map(|i| 1000 + i)).collect();
+        let before = lines.clone();
+        assert!(!dedup_by_bitmap(&mut lines, 1000, 150));
+        assert_eq!(lines, before);
+        // Narrow gathers and sparse spans decline too.
+        assert!(!dedup_by_bitmap(&mut (0..32).collect(), 0, 32));
+        assert!(!dedup_by_bitmap(&mut (0..33).collect(), 0, 64 * 33 + 1));
+    }
+
+    proptest! {
+        /// Around the width threshold, with duplicates, at any element
+        /// width, and with lines outside the span: the bitmap takes every
+        /// wide, dense, in-span gather and leaves exactly the sort-dedup
+        /// result, and declines every other one.
+        #[test]
+        fn bitmap_dedup_matches_sort_dedup(
+            (elem, len, mut raw, stray) in (1u32..257, 1u64..4000).prop_flat_map(|(elem, len)| {
+                // Small indices repeat lines; a stray index past `len`
+                // stands in for the out-of-bounds indices release builds
+                // let through, and lands in about one case in three.
+                let idx = prop_oneof![0..len, 0..len, 0..len, 0u64..4];
+                let stray = (0u64..192, 0usize..120);
+                (Just(elem), Just(len), prop::collection::vec(idx, 0..120), stray)
+            }),
+        ) {
+            if let (off @ 0..=63, at) = stray {
+                raw.insert(at.min(raw.len()), len + off);
+            }
+            let a = array(elem, len);
+            let line = |i: u64| (a.base().raw() + i * u64::from(elem)) >> LINE_SHIFT;
+            let first = a.base().line(LINE_SHIFT);
+            let span = (a.base().raw() + a.size_bytes()).div_ceil(1 << LINE_SHIFT) - first;
+            let mut lines: Vec<u64> = raw.iter().map(|&i| line(i)).collect();
+            let want = sort_dedup(lines.clone());
+            let must_take = lines.len() > BITMAP_MIN_LINES
+                && span <= 64 * lines.len() as u64
+                && lines.iter().all(|&l| (first..first + span).contains(&l));
+            let before = lines.clone();
+            let took = dedup_by_bitmap(&mut lines, first, span);
+            prop_assert_eq!(took, must_take);
+            prop_assert_eq!(lines, if took { want } else { before });
+        }
+
+        /// Through the builder, a gather's tape is the sort-dedup line list
+        /// in warp-size chunks, on either path.
+        #[test]
+        fn gather_tape_is_sort_dedup_in_warp_chunks(
+            (elem, len, raw) in (1u32..257, 1u64..4000).prop_flat_map(|(elem, len)| {
+                (Just(elem), Just(len), prop::collection::vec(0..len, 0..200))
+            }),
+        ) {
+            let a = array(elem, len);
+            let want = sort_dedup(raw.iter().map(|&i| a.addr(i).line(LINE_SHIFT)).collect());
+            let mut b = StreamBuilder::new();
+            b.load_gather(&a, raw.iter().copied());
+            let mut s = b.build();
+            let mut got = Vec::new();
+            while let Some(op) = s.next_op() {
+                prop_assert!(matches!(op, WarpOp::Load(_)));
+                prop_assert!(!op.addrs().is_empty() && op.addrs().len() <= 32);
+                got.extend(op.addrs().iter().map(|t| t.line(LINE_SHIFT)));
+            }
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

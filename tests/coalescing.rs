@@ -15,6 +15,7 @@ use batmem::{policies, RunMetrics, Simulation};
 use batmem_graph::gen;
 use batmem_types::addr::PageGeometry;
 use batmem_types::SimConfig;
+use batmem_vmem::{MmuStats, TlbStats};
 use batmem_workloads::registry;
 use batmem_workloads::synthetic::Strided;
 use std::sync::Arc;
@@ -163,4 +164,54 @@ fn eviction_pressure_splinters_and_sticky_never_repromotes() {
     );
     assert!(greedy.mmu.splinters <= greedy.mmu.coalesces);
     assert!(sticky.mmu.splinters <= sticky.mmu.coalesces);
+}
+
+fn tlb(hits: u64, misses: u64, shootdowns: u64) -> TlbStats {
+    TlbStats { hits, misses, shootdowns }
+}
+
+/// Golden translation counters for the two coalescing runs that exercise
+/// the large-page TLBs: greedy promotion with everything resident, and
+/// sticky splintering under eviction pressure. No figure or determinism
+/// capture runs with coalescing on, so these exact values are what pins
+/// the large-page TLBs' hits, misses and shootdowns (and the base TLBs'
+/// behaviour beside them) against any change to the TLB structure.
+#[test]
+fn large_page_tlb_stats_are_pinned() {
+    let greedy = run_strided("greedy", 1.0, None);
+    assert_eq!(
+        greedy.mmu,
+        MmuStats {
+            l1: tlb(121, 1415, 0),
+            l2: tlb(0, 1024, 0),
+            l1_large: tlb(391, 524, 0),
+            l2_large: tlb(0, 524, 0),
+            walks: 1008,
+            large_walks: 16,
+            queued_walks: 0,
+            faults: 512,
+            coalesces: 16,
+            splinters: 0,
+        }
+    );
+    assert_eq!(greedy.cycles, 2_765_620);
+
+    let sticky = run_strided("splinter:on-evict", 0.5, None);
+    assert_eq!(
+        sticky.mmu,
+        MmuStats {
+            l1: tlb(22, 1896, 16),
+            l2: tlb(0, 1788, 0),
+            l1_large: tlb(108, 376, 15),
+            l2_large: tlb(0, 376, 15),
+            walks: 1772,
+            large_walks: 16,
+            queued_walks: 0,
+            faults: 894,
+            coalesces: 16,
+            splinters: 15,
+        }
+    );
+    assert_eq!(sticky.cycles, 7_251_503);
+    assert_eq!(sticky.uvm.evictions, 655);
 }
